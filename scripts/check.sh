@@ -24,32 +24,23 @@ if [ "${1:-}" != "--tsan-only" ]; then
     cmake -B build -S . >/dev/null
     cmake --build build -j "$JOBS"
     (cd build && ctest --output-on-failure -j "$JOBS")
-    echo "=== read-path bench smoke (keeps bench/micro_readpath honest)"
-    build/bench/micro_readpath --smoke
-    echo "=== fault suite (fault model, scrubber, backpressure)"
-    (cd build && ctest --output-on-failure -L fault)
-    echo "=== sched suite (unified background-job scheduler)"
-    (cd build && ctest --output-on-failure -L sched)
-    echo "=== shard suite (horizontal sharding facade)"
-    (cd build && ctest --output-on-failure -L shard)
-    echo "=== shard bench smoke (keeps the scale-out sweep honest)"
-    build/bench/micro_multiwriter --shard_sweep --smoke
-    echo "=== snapshot suite (pinned snapshots + cross-level DBIterator)"
-    (cd build && ctest --output-on-failure -L snapshot)
-    echo "=== scan bench smoke (keeps bench/micro_scan honest)"
-    build/bench/micro_scan --smoke
-    echo "=== vlog suite (key-value separation: value log + GC)"
-    (cd build && ctest --output-on-failure -L vlog)
-    echo "=== vlog bench smoke (keeps bench/micro_vlog honest)"
-    build/bench/micro_vlog --smoke
-    echo "=== recovery suite (instant recovery: serve while replaying)"
-    (cd build && ctest --output-on-failure -L recovery)
-    echo "=== recovery bench smoke (keeps bench/micro_recovery honest)"
-    build/bench/micro_recovery --smoke
-    echo "=== cache suite (memory governor + DRAM read cache)"
-    (cd build && ctest --output-on-failure -L cache)
-    echo "=== cache bench smoke (keeps bench/micro_cache honest)"
-    build/bench/micro_cache --smoke
+    # Focused suites, one ctest label per subsystem (fault model,
+    # scheduler, sharding, snapshots, value log, instant recovery,
+    # memory governor + read cache).
+    for label in fault sched shard snapshot vlog recovery cache; do
+        echo "=== ctest -L $label"
+        (cd build && ctest --output-on-failure -L "$label")
+    done
+    # Bench smokes keep each bench binary honest; micro_readpath runs
+    # with --stats so its statsAdd-fed scheduler table is exercised.
+    for smoke in "micro_readpath --smoke --stats" \
+                 "micro_multiwriter --shard_sweep --smoke" \
+                 "micro_scan --smoke" "micro_vlog --smoke" \
+                 "micro_recovery --smoke" "micro_cache --smoke"; do
+        echo "=== bench smoke: $smoke"
+        # Unquoted on purpose: split into binary and flags.
+        build/bench/$smoke
+    done
     echo "=== debug-build leg (pin-leak + governor-ledger asserts are NDEBUG-gated)"
     cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug >/dev/null
     cmake --build build-debug -j "$JOBS" \

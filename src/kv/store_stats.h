@@ -3,164 +3,186 @@
  * Shared statistics counters every store implementation feeds; the
  * bench harness reads snapshots to reproduce the paper's cost
  * breakdowns (Table 1) and WA figures (Fig. 11).
+ *
+ * Every field is declared exactly once, as a row of
+ * MIO_STATS_FIELDS. The live atomic counters, the plain snapshot and
+ * every fieldwise operation on them (snapshotOf, statsDelta,
+ * statsAdd, loadInto, toString) are expanded from that table, so a
+ * new counter is one row and its kind decides how it is differenced
+ * and aggregated.
  */
 #ifndef MIO_KV_STORE_STATS_H_
 #define MIO_KV_STORE_STATS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 namespace mio {
+
+/** How a field behaves under statsDelta and statsAdd. */
+enum class StatsKind {
+    /** Monotonic count: delta subtracts, add sums. */
+    kCounter,
+    /** Point-in-time reading: delta carries it, add sums (each gauge
+     *  lives in exactly one sink, so summing never double-counts). */
+    kGauge,
+    /** Open-relative timestamp: delta carries it, add takes the max
+     *  (a sharded machine is ready when its slowest shard is). */
+    kMax,
+};
+
+/**
+ * The stats schema. One row per field, in layout order:
+ * X(name, kind, array dimensions (empty for scalars), doc).
+ * Only block comments may appear between rows.
+ */
+#define MIO_STATS_FIELDS(X)                                               \
+    /* -- stall accounting (paper Sec. 3.1 definitions) -- */            \
+    X(interval_stall_ns, kCounter, ,                                     \
+      "Writer fully blocked (immutable not yet flushed / L0 stop)")      \
+    X(cumulative_stall_ns, kCounter, ,                                   \
+      "Deliberate per-write slowdowns near trigger thresholds")          \
+    /* -- flush path -- */                                               \
+    X(flush_ns, kCounter, , "Time spent flushing MemTables")             \
+    X(flush_count, kCounter, , "MemTables flushed")                      \
+    X(flushed_bytes, kCounter, , "Bytes written by flushes")             \
+    X(serialization_ns, kCounter, ,                                      \
+      "Time spent serializing MemTable entries to table format")         \
+    X(deserialization_ns, kCounter, ,                                    \
+      "Time spent reading+decoding serialized blocks on the read path")  \
+    /* -- traffic -- */                                                  \
+    X(user_bytes_written, kCounter, , "User key+value bytes written")    \
+    X(wal_bytes_written, kCounter, , "Bytes appended to the WAL")        \
+    X(storage_bytes_written, kCounter, ,                                 \
+      "Bytes written to storage by flushes + compactions")               \
+    /* -- compaction -- */                                               \
+    X(compaction_count, kCounter, , "Compactions (merges) completed")    \
+    X(compaction_ns, kCounter, , "Time spent compacting")                \
+    X(zero_copy_merges, kCounter, , "In-buffer zero-copy merges")        \
+    X(lazy_copy_merges, kCounter, , "Lazy-copy merges into the repo")    \
+    /* -- ops -- */                                                      \
+    X(puts, kCounter, , "User puts")                                     \
+    X(gets, kCounter, , "User gets")                                     \
+    X(deletes, kCounter, , "User deletes")                               \
+    X(scans, kCounter, , "User scans")                                   \
+    X(bloom_filter_skips, kCounter, , "Tables skipped by their bloom")   \
+    X(bloom_summary_skips, kCounter, ,                                   \
+      "Whole buffer levels skipped by the per-level bloom summary")      \
+    X(read_retries, kCounter, ,                                          \
+      "Per-level lookup retries after a concurrent manifest publish")    \
+    /* -- group commit (write pipeline) -- */                            \
+    X(groups_committed, kCounter, ,                                      \
+      "Commit groups published by a leader writer")                      \
+    X(group_writers, kCounter, ,                                         \
+      "Writer records committed through groups (>= groups_committed)")   \
+    X(wal_appends_saved, kCounter, ,                                     \
+      "WAL record appends avoided by combining writers into groups")     \
+    X(group_size_hist, kCounter, [StatsCounters::kGroupSizeBuckets],     \
+      "Log2-ish buckets of writers-per-group: 1, 2, 3-4, 5-8, ...")      \
+    /* -- media-fault tolerance (NVM watermarks, scrubber, retries) -- */ \
+    X(write_slowdowns, kCounter, ,                                       \
+      "Writes slowed down above the soft NVM watermark")                 \
+    X(write_stalls, kCounter, ,                                          \
+      "Writers that entered a bounded hard-watermark stall")             \
+    X(busy_rejections, kCounter, ,                                       \
+      "Writes rejected with Status::busy after a stall timed out")       \
+    X(scrub_passes, kCounter, , "Scrubber passes completed")             \
+    X(scrub_bytes, kCounter, ,                                           \
+      "Payload bytes whose checksums the scrubber verified")             \
+    X(corruptions_detected, kCounter, ,                                  \
+      "Checksum mismatches found (scrubber or read-path verify)")        \
+    X(tables_quarantined, kCounter, ,                                    \
+      "PMTables/SSTables quarantined after a checksum mismatch")         \
+    X(ssd_io_retries, kCounter, ,                                        \
+      "Transient SSD I/O errors absorbed by retry-with-backoff")         \
+    X(wal_corrupt_frames, kCounter, ,                                    \
+      "WAL frames dropped by recovery as corrupt (torn/flipped)")        \
+    /* -- snapshots (incremented at pin, decremented at release;      */ \
+    /*    nonzero at close means a leaked pin) -- */                     \
+    X(snapshots_live, kGauge, , "Snapshots currently held by callers")   \
+    X(snapshots_pinned_manifests, kGauge, ,                              \
+      "Level manifests (and table sets) pinned by live snapshots")       \
+    /* -- value log (key-value separation) -- */                         \
+    X(vlog_appends, kCounter, ,                                          \
+      "Values separated into the NVM value log at write time")           \
+    X(vlog_appended_bytes, kCounter, ,                                   \
+      "Payload bytes appended to the value log (user + GC traffic)")     \
+    X(vlog_deref_reads, kCounter, ,                                      \
+      "Pointer dereferences served by the value log on reads/scans")     \
+    X(vlog_gc_passes, kCounter, ,                                        \
+      "GC passes that examined at least one victim segment")             \
+    X(vlog_gc_relocated_bytes, kCounter, ,                               \
+      "Live bytes GC re-appended to the head segment")                   \
+    X(vlog_gc_reclaimed_bytes, kCounter, ,                               \
+      "Segment capacity returned to the device by GC unlinks")           \
+    X(vlog_segments_created, kCounter, , "Value-log segments created")   \
+    X(vlog_segments_unlinked, kCounter, , "Value-log segments unlinked") \
+    X(vlog_segments_live, kGauge, , "Segments currently holding data")   \
+    /* -- instant recovery (WAL replay after open) -- */                 \
+    X(wal_frames_replayed, kCounter, ,                                   \
+      "WAL frames applied by replay (background + on-demand)")           \
+    X(wal_frames_on_demand, kCounter, ,                                  \
+      "Frames replayed synchronously to answer a blocked get/scan")      \
+    X(recovery_pending_segments, kGauge, ,                               \
+      "Pre-crash segments still holding unreplayed frames")              \
+    X(recovery_ms_to_ready, kMax, ,                                      \
+      "open() -> store serving (full-replay opens: includes replay)")    \
+    X(recovery_ms_to_drained, kMax, ,                                    \
+      "open() -> last pending frame applied (== ready if none pending)") \
+    /* -- memory governor + DRAM read cache -- */                        \
+    X(cache_hits, kCounter, , "Read-cache probes answered from DRAM")    \
+    X(cache_misses, kCounter, ,                                          \
+      "Read-cache probes that fell through to the levels/repo")          \
+    X(cache_evictions, kCounter, ,                                       \
+      "Entries evicted by LRU pressure (capacity, not staleness)")       \
+    X(cache_invalidations, kCounter, ,                                   \
+      "Invalidation events (flush installs, quarantine clears)")         \
+    X(tuner_moves, kCounter, ,                                           \
+      "Tuner decisions that changed a budget or watermark")              \
+    X(gov_memtable_bytes, kGauge, , "Governor: MemTable DRAM charged")   \
+    X(gov_cache_bytes, kGauge, , "Governor: read-cache DRAM charged")    \
+    X(gov_nvm_buffer_bytes, kGauge, , "Governor: NVM buffer charged")    \
+    X(gov_vlog_bytes, kGauge, , "Governor: value-log capacity charged")  \
+    X(gov_memtable_limit, kGauge, , "Governor: MemTable DRAM limit")     \
+    X(gov_cache_limit, kGauge, , "Governor: read-cache DRAM limit")      \
+    /* -- background scheduler (per-job-class observability) -- */       \
+    X(sched_submitted, kCounter, [StatsCounters::kJobClasses],           \
+      "Jobs submitted per class")                                        \
+    X(sched_completed, kCounter, [StatsCounters::kJobClasses],           \
+      "Jobs completed per class")                                        \
+    X(sched_dropped, kCounter, [StatsCounters::kJobClasses],             \
+      "Jobs discarded unexecuted (freeze/shutdown)")                     \
+    X(sched_queue_ns, kCounter, [StatsCounters::kJobClasses],            \
+      "Total submit->dispatch wait per class")                           \
+    X(sched_run_ns, kCounter, [StatsCounters::kJobClasses],              \
+      "Total execution time per class")                                  \
+    X(sched_queue_hist, kCounter,                                        \
+      [StatsCounters::kJobClasses][StatsCounters::kSchedLatBuckets],     \
+      "Submit->dispatch wait per class, decade buckets")                 \
+    X(sched_run_hist, kCounter,                                          \
+      [StatsCounters::kJobClasses][StatsCounters::kSchedLatBuckets],     \
+      "Execution time per class, decade buckets")                        \
+    X(sched_escalations, kCounter, ,                                     \
+      "Dispatches where an urgency probe overrode base priority")
 
 /**
  * Live atomic counters. Components hold a pointer to their store's
  * instance and bump the fields they are responsible for.
  */
 struct StatsCounters {
-    // -- stall accounting (paper Sec. 3.1 definitions) --
-    /** Writer fully blocked (immutable not yet flushed / L0 stop). */
-    std::atomic<uint64_t> interval_stall_ns{0};
-    /** Deliberate per-write slowdowns near trigger thresholds. */
-    std::atomic<uint64_t> cumulative_stall_ns{0};
-
-    // -- flush path --
-    std::atomic<uint64_t> flush_ns{0};
-    std::atomic<uint64_t> flush_count{0};
-    std::atomic<uint64_t> flushed_bytes{0};
-    /** Time spent serializing MemTable entries to table format. */
-    std::atomic<uint64_t> serialization_ns{0};
-    /** Time spent reading+decoding serialized blocks on the read path. */
-    std::atomic<uint64_t> deserialization_ns{0};
-
-    // -- traffic --
-    std::atomic<uint64_t> user_bytes_written{0};
-    std::atomic<uint64_t> wal_bytes_written{0};
-    /** Bytes written to storage by flushes + compactions. */
-    std::atomic<uint64_t> storage_bytes_written{0};
-
-    // -- compaction --
-    std::atomic<uint64_t> compaction_count{0};
-    std::atomic<uint64_t> compaction_ns{0};
-    std::atomic<uint64_t> zero_copy_merges{0};
-    std::atomic<uint64_t> lazy_copy_merges{0};
-
-    // -- ops --
-    std::atomic<uint64_t> puts{0};
-    std::atomic<uint64_t> gets{0};
-    std::atomic<uint64_t> deletes{0};
-    std::atomic<uint64_t> scans{0};
-    std::atomic<uint64_t> bloom_filter_skips{0};
-    /** Whole buffer levels skipped by the per-level bloom summary. */
-    std::atomic<uint64_t> bloom_summary_skips{0};
-    /** Per-level lookup retries after a concurrent manifest publish. */
-    std::atomic<uint64_t> read_retries{0};
-
-    // -- group commit (write pipeline) --
-    /** Log2-ish buckets of writers-per-group: 1, 2, 3-4, 5-8, ... */
     static constexpr int kGroupSizeBuckets = 8;
-    /** Commit groups published by a leader writer. */
-    std::atomic<uint64_t> groups_committed{0};
-    /** Writer records committed through groups (>= groups_committed). */
-    std::atomic<uint64_t> group_writers{0};
-    /** WAL record appends avoided by combining writers into groups. */
-    std::atomic<uint64_t> wal_appends_saved{0};
-    std::atomic<uint64_t> group_size_hist[kGroupSizeBuckets]{};
-
-    // -- media-fault tolerance (NVM watermarks, scrubber, retries) --
-    /** Writes slowed down above the soft NVM watermark. */
-    std::atomic<uint64_t> write_slowdowns{0};
-    /** Writers that entered a bounded hard-watermark stall. */
-    std::atomic<uint64_t> write_stalls{0};
-    /** Writes rejected with Status::busy after a stall timed out. */
-    std::atomic<uint64_t> busy_rejections{0};
-    std::atomic<uint64_t> scrub_passes{0};
-    /** Payload bytes whose checksums the scrubber verified. */
-    std::atomic<uint64_t> scrub_bytes{0};
-    /** Checksum mismatches found (scrubber or read-path verify). */
-    std::atomic<uint64_t> corruptions_detected{0};
-    /** PMTables/SSTables quarantined after a checksum mismatch. */
-    std::atomic<uint64_t> tables_quarantined{0};
-    /** Transient SSD I/O errors absorbed by retry-with-backoff. */
-    std::atomic<uint64_t> ssd_io_retries{0};
-    /** WAL frames dropped by recovery as corrupt (torn/flipped). */
-    std::atomic<uint64_t> wal_corrupt_frames{0};
-
-    // -- snapshots (gauges: incremented at pin, decremented at
-    //    release; nonzero at close means a leaked pin) --
-    /** Snapshots currently held by callers. */
-    std::atomic<uint64_t> snapshots_live{0};
-    /** Level manifests (and table sets) pinned by live snapshots. */
-    std::atomic<uint64_t> snapshots_pinned_manifests{0};
-
-    // -- value log (key-value separation) --
-    /** Values separated into the NVM value log at write time. */
-    std::atomic<uint64_t> vlog_appends{0};
-    /** Payload bytes appended to the value log (user + GC traffic). */
-    std::atomic<uint64_t> vlog_appended_bytes{0};
-    /** Pointer dereferences served by the value log on reads/scans. */
-    std::atomic<uint64_t> vlog_deref_reads{0};
-    /** GC passes that examined at least one victim segment. */
-    std::atomic<uint64_t> vlog_gc_passes{0};
-    /** Live bytes GC re-appended to the head segment. */
-    std::atomic<uint64_t> vlog_gc_relocated_bytes{0};
-    /** Segment capacity returned to the device by GC unlinks. */
-    std::atomic<uint64_t> vlog_gc_reclaimed_bytes{0};
-    std::atomic<uint64_t> vlog_segments_created{0};
-    std::atomic<uint64_t> vlog_segments_unlinked{0};
-    /** Gauge: segments currently holding data. */
-    std::atomic<uint64_t> vlog_segments_live{0};
-
-    // -- instant recovery (WAL replay after open) --
-    /** WAL frames applied by replay (background + on-demand). */
-    std::atomic<uint64_t> wal_frames_replayed{0};
-    /** Frames replayed synchronously to answer a blocked get/scan. */
-    std::atomic<uint64_t> wal_frames_on_demand{0};
-    /** Gauge: pre-crash segments still holding unreplayed frames. */
-    std::atomic<uint64_t> recovery_pending_segments{0};
-    /** open() -> store serving (full-replay opens: includes replay). */
-    std::atomic<uint64_t> recovery_ms_to_ready{0};
-    /** open() -> last pending frame applied (== ready when instant
-     *  recovery is off or the WAL was empty). */
-    std::atomic<uint64_t> recovery_ms_to_drained{0};
-
-    // -- memory governor + DRAM read cache --
-    /** Read-cache probes answered from DRAM. */
-    std::atomic<uint64_t> cache_hits{0};
-    /** Read-cache probes that fell through to the levels/repo. */
-    std::atomic<uint64_t> cache_misses{0};
-    /** Entries evicted by LRU pressure (capacity, not staleness). */
-    std::atomic<uint64_t> cache_evictions{0};
-    /** Invalidation events (flush installs, quarantine clears). */
-    std::atomic<uint64_t> cache_invalidations{0};
-    /** Tuner decisions that changed a budget or watermark. */
-    std::atomic<uint64_t> tuner_moves{0};
-    // Gauges published by the MemoryGovernor (point-in-time bytes).
-    std::atomic<uint64_t> gov_memtable_bytes{0};
-    std::atomic<uint64_t> gov_cache_bytes{0};
-    std::atomic<uint64_t> gov_nvm_buffer_bytes{0};
-    std::atomic<uint64_t> gov_vlog_bytes{0};
-    std::atomic<uint64_t> gov_memtable_limit{0};
-    std::atomic<uint64_t> gov_cache_limit{0};
-
-    // -- background scheduler (per-job-class observability) --
-    /** Job classes: flush, lcm, zcm, ssd, wal-recycle, scrub, vloggc,
-     *  wal-replay, memtune. */
+    /** Background job classes, named in kJobClassNames. */
     static constexpr int kJobClasses = 9;
     /** Decade latency buckets: <1us, <10us, ..., <1s, >=1s. */
     static constexpr int kSchedLatBuckets = 8;
-    std::atomic<uint64_t> sched_submitted[kJobClasses]{};
-    std::atomic<uint64_t> sched_completed[kJobClasses]{};
-    /** Jobs discarded unexecuted (freeze/shutdown). */
-    std::atomic<uint64_t> sched_dropped[kJobClasses]{};
-    /** Total submit->dispatch wait per class. */
-    std::atomic<uint64_t> sched_queue_ns[kJobClasses]{};
-    /** Total execution time per class. */
-    std::atomic<uint64_t> sched_run_ns[kJobClasses]{};
-    std::atomic<uint64_t> sched_queue_hist[kJobClasses][kSchedLatBuckets]{};
-    std::atomic<uint64_t> sched_run_hist[kJobClasses][kSchedLatBuckets]{};
-    /** Dispatches where an urgency probe overrode base priority. */
-    std::atomic<uint64_t> sched_escalations{0};
+
+#define MIO_STATS_ATOMIC(name, kind, dims, doc) \
+    std::atomic<uint64_t> name dims{};
+    MIO_STATS_FIELDS(MIO_STATS_ATOMIC)
+#undef MIO_STATS_ATOMIC
 
     /** Bucket index for a group of @p writers members. */
     static int
@@ -189,79 +211,11 @@ struct StatsCounters {
 
 /** Plain-value snapshot of StatsCounters. */
 struct StatsSnapshot {
-    uint64_t interval_stall_ns = 0;
-    uint64_t cumulative_stall_ns = 0;
-    uint64_t flush_ns = 0;
-    uint64_t flush_count = 0;
-    uint64_t flushed_bytes = 0;
-    uint64_t serialization_ns = 0;
-    uint64_t deserialization_ns = 0;
-    uint64_t user_bytes_written = 0;
-    uint64_t wal_bytes_written = 0;
-    uint64_t storage_bytes_written = 0;
-    uint64_t compaction_count = 0;
-    uint64_t compaction_ns = 0;
-    uint64_t zero_copy_merges = 0;
-    uint64_t lazy_copy_merges = 0;
-    uint64_t puts = 0;
-    uint64_t gets = 0;
-    uint64_t deletes = 0;
-    uint64_t scans = 0;
-    uint64_t bloom_filter_skips = 0;
-    uint64_t bloom_summary_skips = 0;
-    uint64_t read_retries = 0;
-    uint64_t groups_committed = 0;
-    uint64_t group_writers = 0;
-    uint64_t wal_appends_saved = 0;
-    uint64_t group_size_hist[StatsCounters::kGroupSizeBuckets] = {};
-    uint64_t write_slowdowns = 0;
-    uint64_t write_stalls = 0;
-    uint64_t busy_rejections = 0;
-    uint64_t scrub_passes = 0;
-    uint64_t scrub_bytes = 0;
-    uint64_t corruptions_detected = 0;
-    uint64_t tables_quarantined = 0;
-    uint64_t ssd_io_retries = 0;
-    uint64_t wal_corrupt_frames = 0;
-    uint64_t snapshots_live = 0;
-    uint64_t snapshots_pinned_manifests = 0;
-    uint64_t vlog_appends = 0;
-    uint64_t vlog_appended_bytes = 0;
-    uint64_t vlog_deref_reads = 0;
-    uint64_t vlog_gc_passes = 0;
-    uint64_t vlog_gc_relocated_bytes = 0;
-    uint64_t vlog_gc_reclaimed_bytes = 0;
-    uint64_t vlog_segments_created = 0;
-    uint64_t vlog_segments_unlinked = 0;
-    uint64_t vlog_segments_live = 0;
-    uint64_t wal_frames_replayed = 0;
-    uint64_t wal_frames_on_demand = 0;
-    uint64_t recovery_pending_segments = 0;
-    uint64_t recovery_ms_to_ready = 0;
-    uint64_t recovery_ms_to_drained = 0;
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-    uint64_t cache_evictions = 0;
-    uint64_t cache_invalidations = 0;
-    uint64_t tuner_moves = 0;
-    uint64_t gov_memtable_bytes = 0;
-    uint64_t gov_cache_bytes = 0;
-    uint64_t gov_nvm_buffer_bytes = 0;
-    uint64_t gov_vlog_bytes = 0;
-    uint64_t gov_memtable_limit = 0;
-    uint64_t gov_cache_limit = 0;
-    uint64_t sched_submitted[StatsCounters::kJobClasses] = {};
-    uint64_t sched_completed[StatsCounters::kJobClasses] = {};
-    uint64_t sched_dropped[StatsCounters::kJobClasses] = {};
-    uint64_t sched_queue_ns[StatsCounters::kJobClasses] = {};
-    uint64_t sched_run_ns[StatsCounters::kJobClasses] = {};
-    uint64_t sched_queue_hist[StatsCounters::kJobClasses]
-                             [StatsCounters::kSchedLatBuckets] = {};
-    uint64_t sched_run_hist[StatsCounters::kJobClasses]
-                           [StatsCounters::kSchedLatBuckets] = {};
-    uint64_t sched_escalations = 0;
+#define MIO_STATS_VALUE(name, kind, dims, doc) uint64_t name dims = {};
+    MIO_STATS_FIELDS(MIO_STATS_VALUE)
+#undef MIO_STATS_VALUE
 
-    /** Mean writers per commit group (1.0 when grouping never fired). */
+    /** Mean writers per commit group (0 when grouping never fired). */
     double
     averageGroupSize() const
     {
@@ -287,15 +241,38 @@ struct StatsSnapshot {
                static_cast<double>(user_bytes_written);
     }
 
+    /**
+     * One-line summary (WA, mean group size, cache hit rate), then
+     * `name=value` for every nonzero scalar field, then one line per
+     * job class that has submissions.
+     */
     std::string toString() const;
 };
 
+/** 64-bit words in the schema: the size both structs must have. */
+#define MIO_STATS_WORDS(name, kind, dims, doc) \
+    +sizeof(uint64_t dims) / sizeof(uint64_t)
+inline constexpr size_t kStatsWords = 0 MIO_STATS_FIELDS(MIO_STATS_WORDS);
+#undef MIO_STATS_WORDS
+static_assert(sizeof(StatsSnapshot) == kStatsWords * sizeof(uint64_t),
+              "every StatsSnapshot field must be a MIO_STATS_FIELDS row");
+static_assert(sizeof(StatsCounters) ==
+                  kStatsWords * sizeof(std::atomic<uint64_t>),
+              "every StatsCounters field must be a MIO_STATS_FIELDS row");
+
+/** Short stable job-class names, indexed by sched::JobClass. */
+inline constexpr const char *kJobClassNames[] = {
+    "flush", "lcm",    "zcm",    "ssd",    "walrec",
+    "scrub", "vloggc", "walrep", "memtune"};
+static_assert(std::size(kJobClassNames) == StatsCounters::kJobClasses);
+
 StatsSnapshot snapshotOf(const StatsCounters &c);
 
-/** a - b, fieldwise; for measuring a phase. */
+/** a - b for counters, a's reading for gauges and maxima; for
+ *  measuring a phase. */
 StatsSnapshot statsDelta(const StatsSnapshot &a, const StatsSnapshot &b);
 
-/** acc + b, fieldwise; for aggregating across shards. */
+/** acc + b (max for kMax fields); for aggregating across shards. */
 void statsAdd(StatsSnapshot *acc, const StatsSnapshot &b);
 
 /** Store @p s into @p out, fieldwise (relaxed); the inverse of

@@ -150,7 +150,7 @@ MemoryGovernor::nvmHardWatermark() const
 }
 
 bool
-MemoryGovernor::tunerPass(const TunerSignals &now)
+MemoryGovernor::tunerPass(const StatsSnapshot &now, double nvm_usage)
 {
     std::lock_guard<std::mutex> lock(tuner_mu_);
     if (!have_prev_) {
@@ -177,7 +177,7 @@ MemoryGovernor::tunerPass(const TunerSignals &now)
     uint64_t wm_floor = std::max<uint64_t>(
         5000, configured > 2500 ? configured - 2500 : 0);
     uint64_t soft = soft_wm_bp_.load(std::memory_order_relaxed);
-    if (stall_d > 0 && now.nvm_usage > 0.5 && soft > wm_floor) {
+    if (stall_d > 0 && nvm_usage > 0.5 && soft > wm_floor) {
         soft = std::max<uint64_t>(wm_floor, soft - 500);
         soft_wm_bp_.store(soft, std::memory_order_relaxed);
         tuner_moves_.fetch_add(1, std::memory_order_relaxed);

@@ -84,23 +84,6 @@ class MemoryGovernor
         uint64_t tuner_interval_ms = 200;
     };
 
-    /**
-     * Cumulative observations feeding one tuner window. Callers pass
-     * running counter values (not deltas); the governor differences
-     * them against the previous pass internally.
-     */
-    struct TunerSignals {
-        uint64_t cache_hits = 0;
-        uint64_t cache_misses = 0;
-        uint64_t cache_evictions = 0;
-        uint64_t write_stalls = 0;
-        uint64_t write_slowdowns = 0;
-        uint64_t busy_rejections = 0;
-        uint64_t flush_count = 0;
-        /** Point-in-time NVM usage fraction (0 when unknown). */
-        double nvm_usage = 0.0;
-    };
-
     explicit MemoryGovernor(const Config &config,
                             StatsCounters *stats = nullptr);
 
@@ -144,17 +127,20 @@ class MemoryGovernor
     uint64_t tunerIntervalMs() const { return config_.tuner_interval_ms; }
 
     /**
-     * One tuner window: difference @p now against the previous pass,
-     * decide a direction, and -- after two agreeing windows and
-     * outside the post-move cooldown -- move one step (1/8 of the
-     * combined DRAM budget, clamped to the per-side floor) between
-     * kMemtableDram and kReadCacheDram. Independently nudges the NVM
-     * soft watermark down while write stalls are observed and back
-     * toward the configured value while calm.
+     * One tuner window: difference the cache and write-pressure
+     * counters of @p now (cumulative, not deltas) against the
+     * previous pass, decide a direction, and -- after two agreeing
+     * windows and outside the post-move cooldown -- move one step
+     * (1/8 of the combined DRAM budget, clamped to the per-side
+     * floor) between kMemtableDram and kReadCacheDram. Independently
+     * nudges the NVM soft watermark down while write stalls are
+     * observed at @p nvm_usage (point-in-time fraction, 0 when
+     * unknown) above one half, and back toward the configured value
+     * while calm.
      * @return true when any limit or watermark changed (the caller
      *         re-applies the cache capacity).
      */
-    bool tunerPass(const TunerSignals &now);
+    bool tunerPass(const StatsSnapshot &now, double nvm_usage = 0.0);
     uint64_t tunerMoves() const;
 
     /**
@@ -195,7 +181,7 @@ class MemoryGovernor
 
     // Tuner window state; only the periodic job takes this mutex.
     std::mutex tuner_mu_;
-    TunerSignals prev_{};
+    StatsSnapshot prev_{};
     bool have_prev_ = false;
     int pending_dir_ = 0;
     int pending_windows_ = 0;

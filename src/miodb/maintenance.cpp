@@ -1096,26 +1096,14 @@ MioDB::memoryAccountingConsistent() const
 void
 MioDB::memTunerPass()
 {
-    mem::MemoryGovernor::TunerSignals s;
-    s.cache_hits = stats_.cache_hits.load(std::memory_order_relaxed);
-    s.cache_misses =
-        stats_.cache_misses.load(std::memory_order_relaxed);
-    s.cache_evictions =
-        stats_.cache_evictions.load(std::memory_order_relaxed);
-    s.write_stalls =
-        stats_.write_stalls.load(std::memory_order_relaxed);
-    s.write_slowdowns =
-        stats_.write_slowdowns.load(std::memory_order_relaxed);
-    s.busy_rejections =
-        stats_.busy_rejections.load(std::memory_order_relaxed);
-    s.flush_count = stats_.flush_count.load(std::memory_order_relaxed);
+    double nvm_usage = 0.0;
     const uint64_t cap = nvm_->capacityBytes();
     if (cap != 0) {
-        s.nvm_usage =
-            static_cast<double>(nvm_->meters().bytes_allocated) /
-            static_cast<double>(cap);
+        nvm_usage = static_cast<double>(nvm_->meters().bytes_allocated) /
+                    static_cast<double>(cap);
     }
-    if (governor_->tunerPass(s) && read_cache_ != nullptr) {
+    if (governor_->tunerPass(snapshotOf(stats_), nvm_usage) &&
+        read_cache_ != nullptr) {
         // The cache retargets immediately (shrinks evict at once);
         // the MemTable side is picked up by the next rotation.
         read_cache_->setCapacity(

@@ -1694,12 +1694,11 @@ MioDB::debugString()
                  snap.migrating ? ", migrating" : "");
         out += line;
     }
-    snprintf(line, sizeof(line),
-             "  repository: %llu entries\n  %s\n",
+    snprintf(line, sizeof(line), "  repository: %llu entries\n  ",
              static_cast<unsigned long long>(
-                 state_->repo->entryCount()),
-             snapshotOf(stats_).toString().c_str());
+                 state_->repo->entryCount()));
     out += line;
+    out += snapshotOf(stats_).toString() + "\n";
     return out;
 }
 

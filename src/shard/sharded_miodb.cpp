@@ -301,34 +301,24 @@ ShardedMioDB::pauseBackgroundReplayForTesting(bool paused)
 void
 ShardedMioDB::memTunerPass()
 {
-    mem::MemoryGovernor::TunerSignals s;
     // Cache counters live in the pool's sink (the shared cache's
-    // stats target); write-pressure counters are per shard.
-    s.cache_hits =
-        sched_stats.cache_hits.load(std::memory_order_relaxed);
-    s.cache_misses =
-        sched_stats.cache_misses.load(std::memory_order_relaxed);
-    s.cache_evictions =
-        sched_stats.cache_evictions.load(std::memory_order_relaxed);
+    // stats target); write-pressure counters are per shard. Sum into
+    // a local snapshot: the facade's agg_ buffer is read by stats()
+    // callers outside the lock.
+    StatsSnapshot s = snapshotOf(sched_stats);
     for (const auto &sh : shards_) {
-        const StatsCounters &st =
-            static_cast<const miodb::MioDB *>(sh.get())->stats();
-        s.write_stalls +=
-            st.write_stalls.load(std::memory_order_relaxed);
-        s.write_slowdowns +=
-            st.write_slowdowns.load(std::memory_order_relaxed);
-        s.busy_rejections +=
-            st.busy_rejections.load(std::memory_order_relaxed);
-        s.flush_count +=
-            st.flush_count.load(std::memory_order_relaxed);
+        statsAdd(&s, snapshotOf(
+                         static_cast<const miodb::MioDB *>(sh.get())
+                             ->stats()));
     }
+    double nvm_usage = 0.0;
     const uint64_t cap = nvm_dev->capacityBytes();
     if (cap != 0) {
-        s.nvm_usage =
+        nvm_usage =
             static_cast<double>(nvm_dev->meters().bytes_allocated) /
             static_cast<double>(cap);
     }
-    if (governor->tunerPass(s) && cache != nullptr) {
+    if (governor->tunerPass(s, nvm_usage) && cache != nullptr) {
         cache->setCapacity(
             governor->limit(mem::SubBudget::kReadCacheDram));
     }

@@ -1,5 +1,8 @@
 #include "util/flags.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -36,19 +39,48 @@ Flags::getString(const std::string &name, const std::string &def) const
     return it == values_.end() ? def : it->second;
 }
 
+namespace {
+
+/** Report a malformed value for --@p name and exit: a typo must not
+ *  silently run with the default. */
+[[noreturn]] void
+badValue(const std::string &name, const std::string &value,
+         const char *expected)
+{
+    fprintf(stderr, "error: --%s=%s: expected %s\n", name.c_str(),
+            value.c_str(), expected);
+    exit(EXIT_FAILURE);
+}
+
+} // namespace
+
 int64_t
 Flags::getInt(const std::string &name, int64_t def) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? def : strtoll(it->second.c_str(),
-                                               nullptr, 10);
+    if (it == values_.end())
+        return def;
+    const char *s = it->second.c_str();
+    char *end = nullptr;
+    errno = 0;
+    long long v = strtoll(s, &end, 10);
+    if (end == s || *end != '\0' || errno == ERANGE)
+        badValue(name, it->second, "an integer");
+    return v;
 }
 
 double
 Flags::getDouble(const std::string &name, double def) const
 {
     auto it = values_.find(name);
-    return it == values_.end() ? def : strtod(it->second.c_str(), nullptr);
+    if (it == values_.end())
+        return def;
+    const char *s = it->second.c_str();
+    char *end = nullptr;
+    double v = strtod(s, &end);
+    if (end == s || *end != '\0' || !std::isfinite(v))
+        badValue(name, it->second, "a number");
+    return v;
 }
 
 bool
@@ -57,7 +89,12 @@ Flags::getBool(const std::string &name, bool def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    return it->second == "true" || it->second == "1" || it->second == "yes";
+    const std::string &v = it->second;
+    if (v == "true" || v == "1" || v == "yes")
+        return true;
+    if (v == "false" || v == "0" || v == "no")
+        return false;
+    badValue(name, v, "true/false/1/0/yes/no");
 }
 
 uint64_t
@@ -66,18 +103,22 @@ Flags::getSize(const std::string &name, uint64_t def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
+    const char *s = it->second.c_str();
     char *end = nullptr;
-    double v = strtod(it->second.c_str(), &end);
+    double v = strtod(s, &end);
     uint64_t mult = 1;
-    if (end && *end) {
+    if (end != s) {
         switch (*end) {
-          case 'k': case 'K': mult = 1024ULL; break;
-          case 'm': case 'M': mult = 1024ULL * 1024; break;
-          case 'g': case 'G': mult = 1024ULL * 1024 * 1024; break;
+          case 'k': case 'K': mult = 1024ULL; end++; break;
+          case 'm': case 'M': mult = 1024ULL * 1024; end++; break;
+          case 'g': case 'G': mult = 1024ULL * 1024 * 1024; end++; break;
           default: break;
         }
     }
-    return static_cast<uint64_t>(v * static_cast<double>(mult));
+    v *= static_cast<double>(mult);
+    if (end == s || *end != '\0' || !(v >= 0) || v >= 0x1p64)
+        badValue(name, it->second, "a size (bytes, or with k/m/g)");
+    return static_cast<uint64_t>(v);
 }
 
 } // namespace mio

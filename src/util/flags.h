@@ -2,6 +2,8 @@
  * @file
  * Minimal command-line flag parser shared by the bench binaries and
  * examples: --name=value or --name value, with typed accessors.
+ * A typed accessor that finds a value it cannot parse in full prints
+ * the flag's name to stderr and exits with EXIT_FAILURE.
  */
 #ifndef MIO_UTIL_FLAGS_H_
 #define MIO_UTIL_FLAGS_H_
@@ -22,6 +24,7 @@ class Flags
                           const std::string &def) const;
     int64_t getInt(const std::string &name, int64_t def) const;
     double getDouble(const std::string &name, double def) const;
+    /** Accepts true/false, 1/0 and yes/no. */
     bool getBool(const std::string &name, bool def) const;
 
     /** Human-readable size: accepts plain bytes or k/m/g suffixes. */

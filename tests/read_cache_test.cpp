@@ -106,7 +106,7 @@ TEST(MemoryGovernorTest, TunerGrowsCacheOnEvictionChurn)
     const uint64_t mem0 = g.limit(SubBudget::kMemtableDram);
     const uint64_t cache0 = g.limit(SubBudget::kReadCacheDram);
 
-    MemoryGovernor::TunerSignals s;
+    StatsSnapshot s;
     g.tunerPass(s); // priming window
     s.cache_hits = 50;
     s.cache_misses = 50;
@@ -132,7 +132,7 @@ TEST(MemoryGovernorTest, TunerGrowsMemtableOnWriteStalls)
     g.registerMemtableCharger();
     const uint64_t mem0 = g.limit(SubBudget::kMemtableDram);
 
-    MemoryGovernor::TunerSignals s;
+    StatsSnapshot s;
     g.tunerPass(s);
     s.write_stalls = 1;
     g.tunerPass(s);
@@ -154,7 +154,7 @@ TEST(MemoryGovernorTest, TunerRespectsFloorAndCooldown)
 
     // Sustained write pressure wants to shrink the cache, but the
     // floor leaves no headroom: no move ever happens.
-    MemoryGovernor::TunerSignals s;
+    StatsSnapshot s;
     g.tunerPass(s);
     for (int i = 1; i <= 4; i++) {
         s.write_stalls = static_cast<uint64_t>(i);
@@ -166,7 +166,7 @@ TEST(MemoryGovernorTest, TunerRespectsFloorAndCooldown)
     // absorbed before the next move can happen.
     MemoryGovernor g2(adaptiveConfig());
     g2.registerMemtableCharger();
-    MemoryGovernor::TunerSignals t;
+    StatsSnapshot t;
     g2.tunerPass(t);
     for (int i = 1; i <= 2; i++) {
         t.cache_hits += 100;
@@ -193,22 +193,22 @@ TEST(MemoryGovernorTest, SoftWatermarkDropsUnderStallsAndCreepsBack)
     EXPECT_DOUBLE_EQ(g.nvmSoftWatermark(), 0.85);
     EXPECT_DOUBLE_EQ(g.nvmHardWatermark(), 0.95);
 
-    MemoryGovernor::TunerSignals s;
+    StatsSnapshot s;
     g.tunerPass(s);
     s.write_stalls = 1;
-    s.nvm_usage = 0.9;
-    g.tunerPass(s);
+    double nvm_usage = 0.9;
+    g.tunerPass(s, nvm_usage);
     EXPECT_NEAR(g.nvmSoftWatermark(), 0.80, 1e-9);
     // Keep stalling: bounded at configured - 0.25.
     for (int i = 2; i < 20; i++) {
         s.write_stalls = static_cast<uint64_t>(i);
-        g.tunerPass(s);
+        g.tunerPass(s, nvm_usage);
     }
     EXPECT_NEAR(g.nvmSoftWatermark(), 0.60, 1e-9);
     // Calm windows creep back toward the configured value.
-    s.nvm_usage = 0.3;
+    nvm_usage = 0.3;
     for (int i = 0; i < 20; i++)
-        g.tunerPass(s);
+        g.tunerPass(s, nvm_usage);
     EXPECT_NEAR(g.nvmSoftWatermark(), 0.85, 1e-9);
 }
 

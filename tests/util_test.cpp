@@ -1,68 +1,14 @@
-/** @file Unit tests for ThreadPool, Flags, and clock utilities. */
+/** @file Unit tests for Flags and clock utilities. */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 
 #include "util/clock.h"
 #include "util/flags.h"
-#include "util/thread_pool.h"
 
 namespace mio {
 namespace {
-
-TEST(ThreadPoolTest, ExecutesAllTasks)
-{
-    ThreadPool pool(3);
-    std::atomic<int> counter{0};
-    for (int i = 0; i < 100; i++)
-        pool.submit([&counter] { counter.fetch_add(1); });
-    pool.drain();
-    EXPECT_EQ(counter.load(), 100);
-    EXPECT_EQ(pool.pendingTasks(), 0u);
-}
-
-TEST(ThreadPoolTest, DrainWaitsForInFlightWork)
-{
-    ThreadPool pool(2);
-    std::atomic<bool> finished{false};
-    pool.submit([&finished] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        finished.store(true);
-    });
-    pool.drain();
-    EXPECT_TRUE(finished.load());
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue)
-{
-    std::atomic<int> counter{0};
-    {
-        ThreadPool pool(1);
-        for (int i = 0; i < 20; i++)
-            pool.submit([&counter] { counter.fetch_add(1); });
-    }
-    EXPECT_EQ(counter.load(), 20);
-}
-
-TEST(ThreadPoolTest, TasksRunConcurrently)
-{
-    ThreadPool pool(4);
-    std::atomic<int> in_flight{0};
-    std::atomic<int> max_in_flight{0};
-    for (int i = 0; i < 16; i++) {
-        pool.submit([&] {
-            int now = in_flight.fetch_add(1) + 1;
-            int prev = max_in_flight.load();
-            while (now > prev &&
-                   !max_in_flight.compare_exchange_weak(prev, now)) {
-            }
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-            in_flight.fetch_sub(1);
-        });
-    }
-    pool.drain();
-    EXPECT_GE(max_in_flight.load(), 2);
-}
 
 TEST(FlagsTest, ParsesEqualsAndSpaceForms)
 {
@@ -109,6 +55,58 @@ TEST(FlagsTest, BoolSpellings)
     EXPECT_TRUE(flags.getBool("t3", false));
     EXPECT_FALSE(flags.getBool("f1", true));
     EXPECT_FALSE(flags.getBool("f2", true));
+    const char *argv2[] = {"prog", "--f3=no"};
+    EXPECT_FALSE(Flags(2, const_cast<char **>(argv2)).getBool("f3", true));
+}
+
+/** Parse a single --@p arg and read it back through @p get. */
+template <class Get>
+void
+readOne(const char *arg, Get get)
+{
+    const char *argv[] = {"prog", arg};
+    Flags flags(2, const_cast<char **>(argv));
+    get(flags);
+}
+
+TEST(FlagsTest, MalformedValuesExitNamingTheFlag)
+{
+    auto fails = ::testing::ExitedWithCode(EXIT_FAILURE);
+    EXPECT_EXIT(readOne("--dataset_bytes=banana",
+                        [](const Flags &f) { f.getSize("dataset_bytes", 1); }),
+                fails, "dataset_bytes");
+    EXPECT_EXIT(readOne("--value_size=4q",
+                        [](const Flags &f) { f.getSize("value_size", 1); }),
+                fails, "value_size");
+    EXPECT_EXIT(readOne("--value_size=k",
+                        [](const Flags &f) { f.getSize("value_size", 1); }),
+                fails, "value_size");
+    EXPECT_EXIT(readOne("--value_size=-1k",
+                        [](const Flags &f) { f.getSize("value_size", 1); }),
+                fails, "value_size");
+    EXPECT_EXIT(readOne("--keys=12abc",
+                        [](const Flags &f) { f.getInt("keys", 1); }),
+                fails, "keys");
+    EXPECT_EXIT(readOne("--keys=",
+                        [](const Flags &f) { f.getInt("keys", 1); }),
+                fails, "keys");
+    EXPECT_EXIT(readOne("--ratio=0.5x",
+                        [](const Flags &f) { f.getDouble("ratio", 1); }),
+                fails, "ratio");
+    EXPECT_EXIT(readOne("--smoke=maybe",
+                        [](const Flags &f) { f.getBool("smoke", false); }),
+                fails, "smoke");
+}
+
+TEST(FlagsTest, WellFormedValuesStillParse)
+{
+    const char *argv[] = {"prog", "--n=-7", "--x=1e3", "--s=0.5m"};
+    Flags flags(4, const_cast<char **>(argv));
+    EXPECT_EQ(flags.getInt("n", 0), -7);
+    EXPECT_DOUBLE_EQ(flags.getDouble("x", 0), 1000.0);
+    EXPECT_EQ(flags.getSize("s", 0), 512u << 10);
+    // getString never rejects: any text is a string.
+    EXPECT_EQ(flags.getString("n", ""), "-7");
 }
 
 TEST(ClockTest, MonotonicAndStopwatch)
