@@ -2,10 +2,11 @@
  * @file
  * Instant-recovery benchmark: time-to-first-get after a power failure
  * with a large WAL backlog, full replay (instant_recovery=off, the
- * constructor replays every frame before returning) vs instant
- * recovery (the constructor only scans segment digests; the first get
- * replays just its covering frames on demand while a background job
- * drains the rest).
+ * constructor scans the segment digests into the recovery index and
+ * drains it before returning) vs instant recovery (the constructor
+ * only scans; the first get replays just its covering frames on
+ * demand while a background job drains the rest with the same
+ * frame-apply routine).
  *
  * Methodology: populate a store whose MemTable never flushes (its cap
  * exceeds the WAL target), so at the crash the ENTIRE dataset is

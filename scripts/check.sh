@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus a ThreadSanitizer pass.
+# Tier-1 verification plus AddressSanitizer and ThreadSanitizer passes.
 #
 # Usage:
-#   scripts/check.sh            # normal build + ctest, then TSan pass
+#   scripts/check.sh            # normal build + ctest, ASan, then TSan
 #   scripts/check.sh --tsan-only
 #
+# The ASan pass rebuilds into build-asan/ with MIO_SANITIZE=address and
+# runs the shutdown- and recovery-heavy tests (shared-pool shard
+# teardown, WAL recovery in both modes) under the memory checker.
 # The TSan pass rebuilds into build-tsan/ with MIO_SANITIZE=thread and
 # runs the concurrency-sensitive tests (writer-group handoff, lock-free
 # readers, recovery) under the race detector. Set MIO_TSAN_TESTS to a
@@ -48,6 +51,19 @@ if [ "${1:-}" != "--tsan-only" ]; then
     (cd build-debug &&
          ctest --output-on-failure \
                -R "edge_case_test|snapshot_iterator_test|read_cache_test")
+    echo "=== ASan: rebuild with MIO_SANITIZE=address"
+    cmake -B build-asan -S . -DMIO_SANITIZE=address >/dev/null
+    cmake --build build-asan -j "$JOBS" --target \
+          sharded_store_test miodb_recovery_test instant_recovery_test
+    # detect_leaks=0: LeakSanitizer reports a few KB of indirect leaks
+    # from the PMTable <-> MergeOp ownership cycle (an emptied newtable
+    # keeps its finished merge op, whose newt points back at it; see
+    # BufferLevel::finishMerge). That cycle is a known open item; this
+    # leg checks memory errors (use-after-free, overflow), not leaks.
+    (cd build-asan &&
+         ASAN_OPTIONS=detect_leaks=0 \
+         ctest --output-on-failure \
+               -R "sharded_store_test|miodb_recovery_test|instant_recovery_test")
     echo "=== no bare sleep-polling on background control paths"
     if grep -rn "sleep_for" src/sched src/miodb src/lsm src/shard; then
         echo "error: background paths must wait on the scheduler" >&2

@@ -1,5 +1,7 @@
 #include "lsm/memtable.h"
 
+#include <algorithm>
+
 namespace mio::lsm {
 
 MemTable::MemTable(size_t capacity_bytes, uint64_t rng_seed)
@@ -24,6 +26,7 @@ MemTable::add(const mio::Slice &key, uint64_t seq, mio::EntryType type,
         min_key_ = key.toString();
     if (max_key_.empty() || key.compare(mio::Slice(max_key_)) > 0)
         max_key_ = key.toString();
+    max_seq_ = std::max(max_seq_, seq);
     return true;
 }
 

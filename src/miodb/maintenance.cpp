@@ -946,6 +946,16 @@ MioDB::sweepGraveyard()
     std::vector<std::shared_ptr<const void>> doomed;
     {
         std::lock_guard<std::mutex> lock(grave_mu_);
+        if (graveyard_.empty())
+            return;
+        // A reader may have entered since our guard's decrement hit
+        // zero and loaded an object retired after that; it sweeps on
+        // its own way out. The fence pairs with ReadGuard's like the
+        // retirer's does: a reader this load misses cannot reach
+        // anything retired before it.
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (active_readers_.load(std::memory_order_acquire) != 0)
+            return;
         doomed.swap(graveyard_);
     }
     // Chains and manifests free here, outside the lock.
@@ -957,17 +967,15 @@ MioDB::scrubNow()
     ReadGuard guard(this);
     uint64_t corruptions = 0;
     uint64_t pm_bytes = 0;
-    // Pace the pass to scrub_rate_mb_per_sec in 256 KiB chunks so the
-    // scrubber never competes with foreground gets for a full memory
-    // bandwidth share. The guard stays pinned across the waits --
-    // acceptable because a paced pass only delays chain reclamation,
-    // never readers. Shutdown/freeze aborts the pacing (waitFor
-    // returns early), not the walk.
-    const uint64_t rate_bps = options_.scrub_rate_mb_per_sec << 20;
+    // Pace the pass to kScrubBytesPerSec (16 MiB/s) in 256 KiB chunks
+    // so the scrubber never competes with foreground gets for a full
+    // memory bandwidth share. The guard stays pinned across the waits
+    // -- acceptable because a paced pass only delays chain
+    // reclamation, never readers. Shutdown/freeze aborts the pacing
+    // (waitFor returns early), not the walk.
+    constexpr uint64_t kScrubBytesPerSec = 16u << 20;
     uint64_t unpaced = 0;
     auto pace = [&](uint64_t bytes) {
-        if (rate_bps == 0)
-            return;
         unpaced += bytes;
         constexpr uint64_t kPaceChunk = 256u << 10;
         if (unpaced < kPaceChunk)
@@ -975,7 +983,7 @@ MioDB::scrubNow()
         if (!shutting_down_.load(std::memory_order_relaxed) &&
             !crashed_.load(std::memory_order_relaxed)) {
             sched_->waitFor(std::chrono::microseconds(
-                unpaced * 1000000ull / rate_bps));
+                unpaced * 1000000ull / kScrubBytesPerSec));
         }
         unpaced = 0;
     };

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <limits>
 
 #include "lsm/db_iterator.h"
 #include "lsm/merging_iterator.h"
@@ -59,7 +60,6 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
         gc.nvm_buffer_bytes = options_.nvm_buffer_cap_bytes;
         gc.vlog_budget_bytes = options_.vlog_budget_bytes;
         gc.nvm_soft_watermark = options_.nvm_soft_watermark;
-        gc.nvm_hard_watermark = options_.nvm_hard_watermark;
         gc.adaptive = options_.adaptive_memory;
         gc.dram_floor_fraction = options_.dram_floor_fraction;
         gc.tuner_interval_ms = options_.mem_tuner_interval_ms;
@@ -153,14 +153,11 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
         mem_wal_ = registry_->open(walName(mem_wal_id_), nvm_);
     }
 
-    // Instant recovery: index the surviving frames BEFORE interrupted
-    // compactions resume -- their merges must already run under the
-    // floored keep_seq (an un-replayed frame's ops have to order
-    // against every version a merge might otherwise drop).
-    const bool instant =
-        options_.instant_recovery && options_.enable_wal;
-    if (instant)
-        buildRecoveryIndex();
+    // Index the surviving WAL frames BEFORE interrupted compactions
+    // resume -- their merges must already run under the floored
+    // keep_seq (an un-replayed frame's ops have to order against every
+    // version a merge might otherwise drop).
+    buildRecoveryIndex();
 
     // Interrupted compactions complete in the foreground, before any
     // reads or background jobs can observe the half-merged levels; a
@@ -192,36 +189,40 @@ MioDB::MioDB(const MioOptions &options, sim::NvmDevice *nvm,
             });
     }
 
-    if (instant) {
-        if (recovery_pending_frames_.load(std::memory_order_acquire) >
-            0) {
-            scheduleWalReplay();
-        }
+    // Instant recovery serves from here on while a kWalReplay job
+    // drains the index in the background.
+    const bool serve_while_replaying = options_.instant_recovery &&
+                                       options_.enable_wal &&
+                                       !recoveryDrained();
+    if (serve_while_replaying) {
+        scheduleWalReplay();
     } else {
-        replayWal();
-    }
-    const bool drained =
-        recovery_pending_frames_.load(std::memory_order_acquire) == 0;
-    if (drained) {
-        // Clear a reclaim gate a crashed instant-recovery run may have
-        // left behind (the repository outlives store instances). Vlog
-        // GC unlocks only here -- its relocations need the commit
-        // path, and during instant recovery an un-replayed frame may
-        // still reference a segment that looks dead.
-        state_->repo->setTombstoneReclaim(true);
-        vlog_gc_enabled_.store(true, std::memory_order_release);
+        // Drain the index here, before open() returns. No other thread
+        // can read or write yet, so the frames apply directly instead
+        // of through the writer queue.
+        try {
+            replayPending(ReplayKind::kAll, Slice(), /*on_demand=*/false);
+        } catch (const sim::SimCrash &) {
+            // Freeze, and join this store's own workers while every
+            // member they may touch is still alive, then propagate
+            // like a crash in the index scan.
+            onSimCrash();
+            if (owned_sched_ != nullptr)
+                owned_sched_->shutdown(/*run_pending=*/false);
+            throw;
+        }
     }
     // Prime the pipeline: an adopted image (or the replay) may have
     // left flushable immutables and mergeable levels behind.
     kickMaintenance();
-    const uint64_t ready_ms =
-        (nowNanos() - open_start_ns_) / 1000000;
-    stats_.recovery_ms_to_ready.store(ready_ms,
-                                      std::memory_order_relaxed);
-    if (drained) {
-        stats_.recovery_ms_to_drained.store(ready_ms,
-                                            std::memory_order_relaxed);
-    }
+    // A drain that finished inside open() made the store ready and
+    // drained at one instant.
+    stats_.recovery_ms_to_ready.store(
+        serve_while_replaying
+            ? (nowNanos() - open_start_ns_) / 1000000
+            : stats_.recovery_ms_to_drained.load(
+                  std::memory_order_relaxed),
+        std::memory_order_relaxed);
 }
 
 MioDB::~MioDB()
@@ -232,8 +233,7 @@ MioDB::~MioDB()
     // (not draining) is safe -- un-replayed segments stay in the
     // registry and replay on the next open.
     replay_paused_.store(true, std::memory_order_release);
-    if (!crashed_.load() && options_.instant_recovery &&
-        options_.enable_wal) {
+    if (!crashed_.load()) {
         sched::WaitOptions wo;
         wo.kick = [this] { sched_->notifyEvent(); };
         wo.tick_ms = 2;
@@ -272,6 +272,8 @@ MioDB::~MioDB()
             std::lock_guard<std::mutex> wl(write_mu_);
             std::lock_guard<std::mutex> il(imm_mu_);
             if (mem_ && mem_->entryCount() > 0) {
+                state_->sealed_seq.store(std::max(
+                    state_->sealed_seq.load(), mem_->maxSequence()));
                 imms_.push_back(Immutable{mem_, mem_wal_id_});
                 mem_.reset();
                 mem_wal_.reset();
@@ -304,8 +306,10 @@ MioDB::~MioDB()
         // shard's streams. The tokens cover flush/compaction (queued,
         // running, or backoff-delayed -- retries fire within 10 ms,
         // see shutting_down_, and release their token without
-        // resubmitting). Scrub/SSD/WAL-recycle jobs carry no token;
-        // their class counters are pool-global, which over-waits but
+        // resubmitting). A flush or compaction body still reads this
+        // instance after releasing its token, so those classes must
+        // also be idle. Scrub/SSD/WAL-recycle jobs carry no token.
+        // Every class counter is pool-global, which over-waits but
         // terminates (none of those bodies retry-loop).
         auto idle = [this](sched::JobClass c) {
             return sched_->queued(c) == 0 && sched_->running(c) == 0;
@@ -325,7 +329,10 @@ MioDB::~MioDB()
                     if (compact_scheduled_[i].load())
                         return false;
                 }
-                return idle(sched::JobClass::kScrub) &&
+                return idle(sched::JobClass::kFlush) &&
+                       idle(sched::JobClass::kZeroCopyMerge) &&
+                       idle(sched::JobClass::kLazyCopyMerge) &&
+                       idle(sched::JobClass::kScrub) &&
                        idle(sched::JobClass::kSsdCompaction) &&
                        idle(sched::JobClass::kWalRecycle) &&
                        idle(sched::JobClass::kVlogGc);
@@ -371,16 +378,9 @@ MioDB::walName(uint64_t id) const
 }
 
 Status
-MioDB::appendWal(uint64_t seq, EntryType type, const Slice &key,
-                 const Slice &value)
+MioDB::appendWalRecord(const Slice &record)
 {
-    std::string record;
-    record.push_back(kWalTagSingle);
-    putFixed64(&record, seq);
-    record.push_back(static_cast<char>(type));
-    putLengthPrefixedSlice(&record, key);
-    putLengthPrefixedSlice(&record, value);
-    Status s = mem_wal_->append(Slice(record));
+    Status s = mem_wal_->append(record);
     if (s.isOk()) {
         stats_.wal_bytes_written.fetch_add(record.size() + 8,
                                            std::memory_order_relaxed);
@@ -438,141 +438,91 @@ MioDB::appendWalOps(const std::vector<OpRef> &ops, size_t from,
             putLengthPrefixedSlice(&record, ops[i].value);
         }
     }
-    Status s = mem_wal_->append(Slice(record));
-    if (s.isOk()) {
-        stats_.wal_bytes_written.fetch_add(record.size() + 8,
-                                           std::memory_order_relaxed);
-    }
-    return s;
+    return appendWalRecord(Slice(record));
 }
 
-void
-MioDB::replayWal()
+bool
+MioDB::replayRecord(const Slice &record)
 {
-    auto names = registry_->list();
-    std::sort(names.begin(), names.end());
-    uint64_t max_seq = seq_.load();
-    std::vector<std::string> replayed;
-    // Only segments from BEFORE this instance replay; the fresh
-    // segments this instance itself creates (including ones minted by
-    // rotations during the replay) hold the re-logged copies and must
-    // be neither replayed nor removed. Ids are monotonic and names
-    // zero-padded, so a string compare is an id compare.
-    const std::string own_floor = walName(first_own_wal_id_);
-    bool relog_failed = false;
-    for (const auto &name : names) {
-        if (name >= own_floor)
-            continue;  // a fresh segment of this instance
-        auto segment = registry_->find(name);
-        if (!segment)
+    WalDigest d;
+    if (!parseWalDigest(record, &d))
+        return true;
+    // A single op and each op of a batch share one layout after the
+    // header: type byte, length-prefixed key, length-prefixed value.
+    Slice ops = d.inner;
+    ops.removePrefix(9);  // tag + first sequence
+    if (d.inner[0] == kWalTagBatch) {
+        uint32_t count = 0;
+        if (!getVarint32(&ops, &count))
+            return true;
+    }
+    auto next_op = [](Slice *in, OpRef *op) {
+        if (in->empty())
+            return false;
+        op->type = static_cast<EntryType>((*in)[0]);
+        in->removePrefix(1);
+        return getLengthPrefixedSlice(in, &op->key) &&
+               getLengthPrefixedSlice(in, &op->value);
+    };
+    // See the declaration: only an op at or below sealed_seq can be
+    // superseded by a version already in the store.
+    auto superseded = [&](const OpRef &op, uint64_t op_seq) {
+        if (op_seq > state_->sealed_seq.load(std::memory_order_relaxed))
+            return false;
+        std::string cur;
+        EntryType cur_type = EntryType::kValue;
+        uint64_t cur_seq = 0;
+        bool corrupt = false;
+        return findNewestRaw(op.key, &cur, &cur_type, &cur_seq,
+                             &corrupt) &&
+               !corrupt && cur_seq >= op_seq;
+    };
+
+    std::vector<uint32_t> skipped;  // superseded ops, by index
+    Slice in = ops;
+    OpRef op{};
+    for (uint32_t i = 0; i < d.op_count && next_op(&in, &op); i++) {
+        const uint64_t op_seq = d.first_seq + i;
+        if (superseded(op, op_seq)) {
+            skipped.push_back(i);
             continue;
-        wal::LogReader reader(segment.get());
-        std::string record;
-        while (reader.readRecord(&record))
-            replayRecord(Slice(record), &max_seq, &relog_failed);
-        if (reader.sawCorruption()) {
-            stats_.wal_corrupt_frames.fetch_add(
-                1, std::memory_order_relaxed);
         }
-        replayed.push_back(name);
-    }
-    // If a re-log was denied (NVM budget), the old segments are the
-    // only durable copy of some replayed records: keep them.
-    if (!relog_failed) {
-        for (const auto &name : replayed)
-            registry_->remove(name);
-    }
-    seq_.store(max_seq);
-    // Everything replayed is committed by definition (max_seq is the
-    // next sequence to allocate, so the watermark sits one below).
-    visible_seq_.store(max_seq - 1, std::memory_order_release);
-}
-
-void
-MioDB::replayRecord(const Slice &record, uint64_t *max_seq,
-                    bool *relog_failed, bool skip_superseded)
-{
-    Slice input = record;
-    if (input.size() < 10)
-        return;
-    if (input[0] == kWalTagDigest) {
-        // Unwrap the digest header; the ops live in the inner record.
-        WalDigest d;
-        if (!parseWalDigest(input, &d))
-            return;
-        input = d.inner;
-        if (input.size() < 10)
-            return;
-    }
-    char tag = input[0];
-    input.removePrefix(1);
-    uint64_t seq = decodeFixed64(input.data());
-    input.removePrefix(8);
-
-    auto apply = [&](uint64_t op_seq, EntryType type, const Slice &key,
-                     const Slice &value) {
-        if (skip_superseded) {
-            // See the declaration: out-of-order (on-demand) replay
-            // must not slot an op under a version that already
-            // superseded it. The probe runs under replay leadership,
-            // like the GC relocation probes.
-            std::string cur;
-            EntryType cur_type = EntryType::kValue;
-            uint64_t cur_seq = 0;
-            bool corrupt = false;
-            if (findNewestRaw(key, &cur, &cur_type, &cur_seq,
-                              &corrupt) &&
-                !corrupt && cur_seq >= op_seq) {
-                *max_seq = std::max(*max_seq, op_seq + 1);
-                return;
-            }
-        }
-        // Insert first, re-log under the CURRENT segment second, so
-        // the re-logged copy always lands in the segment paired with
-        // the table that holds the entry. (Log-first could strand the
-        // record in a segment that dies with the previous table's
-        // flush when the insert triggers a rotation.)
-        if (!mem_->add(key, op_seq, type, value)) {
+        if (!mem_->add(op.key, op_seq, op.type, op.value)) {
+            // The rotation seals the full table, which may hold a
+            // newer version of this key: check again before the op
+            // lands on top of it.
             rotateMemTable();
-            bool ok = mem_->add(key, op_seq, type, value);
+            if (superseded(op, op_seq)) {
+                skipped.push_back(i);
+                continue;
+            }
+            bool ok = mem_->add(op.key, op_seq, op.type, op.value);
             assert(ok && "replayed entry exceeds MemTable size");
             (void)ok;
         }
-        if (options_.enable_wal &&
-            !appendWal(op_seq, type, key, value).isOk()) {
-            *relog_failed = true;
-        }
-        *max_seq = std::max(*max_seq, op_seq + 1);
-    };
-
-    if (tag == kWalTagSingle) {
-        if (input.empty())
-            return;
-        auto type = static_cast<EntryType>(input[0]);
-        input.removePrefix(1);
-        Slice key, value;
-        if (!getLengthPrefixedSlice(&input, &key) ||
-            !getLengthPrefixedSlice(&input, &value)) {
-            return;
-        }
-        apply(seq, type, key, value);
-    } else if (tag == kWalTagBatch) {
-        uint32_t count;
-        if (!getVarint32(&input, &count))
-            return;
-        for (uint32_t i = 0; i < count; i++) {
-            if (input.empty())
-                return;
-            auto type = static_cast<EntryType>(input[0]);
-            input.removePrefix(1);
-            Slice key, value;
-            if (!getLengthPrefixedSlice(&input, &key) ||
-                !getLengthPrefixedSlice(&input, &value)) {
-                return;
-            }
-            apply(seq + i, type, key, value);
-        }
     }
+    if (!options_.enable_wal || skipped.size() == d.op_count)
+        return true;
+    // Re-log under the CURRENT segment, after the inserts, so the copy
+    // lands in the segment paired with the newest table holding the
+    // frame's ops (log-first could strand it in a segment that dies
+    // with an older table's flush when an insert rotates). A frame
+    // that applied whole is re-logged as is, in one append; a partly
+    // superseded batch re-logs its surviving ops one by one.
+    if (skipped.empty())
+        return appendWalRecord(record).isOk();
+    bool relog_ok = true;
+    in = ops;
+    for (uint32_t i = 0, k = 0; i < d.op_count && next_op(&in, &op);
+         i++) {
+        if (k < skipped.size() && skipped[k] == i) {
+            k++;
+            continue;
+        }
+        if (!appendWalOps({op}, 0, d.first_seq + i).isOk())
+            relog_ok = false;
+    }
+    return relog_ok;
 }
 
 void
@@ -586,34 +536,29 @@ MioDB::buildRecoveryIndex()
         stats_.wal_corrupt_frames.fetch_add(corrupt,
                                             std::memory_order_relaxed);
     }
-    const size_t pending = index->pendingFrames();
-    if (pending == 0) {
-        // Fresh store or empty survivors: discard the husks exactly
-        // like the full replay would and stay in the drained state.
-        for (const auto &name : index->takeRemovableSegments())
-            registry_->remove(name);
-        return;
-    }
     // Publish the recovered sequence horizon NOW: a write accepted
-    // before the frames replay must be ordered after every logged op,
-    // or the replayed ops would supersede it. The committed watermark
-    // moves with it -- those sequences ARE durably committed, their
-    // bytes are just not materialized yet (which is exactly what the
-    // on-demand hooks compensate for).
-    const uint64_t max_seq = std::max(index->maxSeq(), seq_.load());
-    seq_.store(max_seq);
-    visible_seq_.store(max_seq - 1, std::memory_order_release);
-    const uint64_t min_first = index->minFirstSeq();
-    recovery_keep_floor_.store(min_first > 0 ? min_first - 1 : 0,
-                               std::memory_order_release);
-    state_->repo->setTombstoneReclaim(false);
-    stats_.recovery_pending_segments.store(
-        index->pendingSegments(), std::memory_order_relaxed);
-    recovery_pending_frames_.store(pending, std::memory_order_release);
-    {
-        std::lock_guard<std::mutex> rl(recovery_mu_);
-        recovery_index_ = std::move(index);
+    // before the frames replay must be ordered after every logged op
+    // and every sealed version, or those would supersede it. The
+    // committed watermark moves with it -- those sequences ARE durably
+    // committed, a pending frame's bytes are just not materialized yet
+    // (which is exactly what the on-demand hooks compensate for).
+    const uint64_t next_seq = std::max(
+        {index->maxSeq(), state_->sealed_seq.load() + 1, seq_.load()});
+    seq_.store(next_seq);
+    visible_seq_.store(next_seq - 1, std::memory_order_release);
+    const size_t pending = index->pendingFrames();
+    if (pending > 0) {
+        const uint64_t min_first = index->minFirstSeq();
+        recovery_keep_floor_.store(min_first > 0 ? min_first - 1 : 0,
+                                   std::memory_order_release);
+        state_->repo->setTombstoneReclaim(false);
+        stats_.recovery_pending_segments.store(
+            index->pendingSegments(), std::memory_order_relaxed);
+        recovery_pending_frames_.store(pending,
+                                       std::memory_order_release);
     }
+    std::lock_guard<std::mutex> rl(recovery_mu_);
+    recovery_index_ = std::move(index);
 }
 
 Status
@@ -648,75 +593,64 @@ MioDB::ensureRecovered(ReplayKind kind, const Slice &key)
     }
 }
 
-Status
-MioDB::applyReplayWriter(Writer *w)
+namespace {
+
+/** Frames one background replay pass applies before yielding the
+ *  writer queue (and its worker) back to foreground traffic. */
+constexpr size_t kReplayBatchFrames = 64;
+
+} // namespace
+
+void
+MioDB::replayPending(ReplayKind kind, const Slice &key, bool on_demand)
 {
+    // Only this routine mutates the index or resets recovery_index_,
+    // and it runs under replay leadership (or in open(), before any
+    // other thread can reach the store). So it reads both without
+    // recovery_mu_; the mutex orders only its writes against the
+    // anyPending() fast-path filter.
+    RecoveryIndex *index = recovery_index_.get();
+    if (index == nullptr)
+        return;  // drained while this writer queued
     std::vector<RecoveryIndex::FrameRef> refs;
-    {
-        std::lock_guard<std::mutex> rl(recovery_mu_);
-        if (recovery_index_ == nullptr)
-            return Status::ok();  // drained while this writer queued
-        const size_t cap =
-            w->replay == ReplayKind::kBatch
-                ? std::max<size_t>(1, options_.replay_batch_frames)
-                : std::numeric_limits<size_t>::max();
-        recovery_index_->collect(w->replay, w->replay_key, cap, &refs);
-    }
-    const bool on_demand = w->replay != ReplayKind::kBatch;
-    bool drained = false;
+    index->collect(kind, key,
+                   kind == ReplayKind::kBatch
+                       ? kReplayBatchFrames
+                       : std::numeric_limits<size_t>::max(),
+                   &refs);
+    std::string record;
     for (const RecoveryIndex::FrameRef &ref : refs) {
-        std::shared_ptr<wal::LogSegment> segment;
-        wal::LogReader::Position pos;
-        {
-            std::lock_guard<std::mutex> rl(recovery_mu_);
-            if (recovery_index_ == nullptr)
-                break;
-            // Memoized: an earlier selector already applied it. (Only
-            // possible across leaderships -- collect() above and this
-            // loop run under the same one.)
-            if (recovery_index_->frame(ref).replayed)
-                continue;
-            segment = recovery_index_->segment(ref).segment;
-            pos = recovery_index_->frame(ref).pos;
-        }
         // A crash in here loses only DRAM progress: the frame stays in
-        // its (un-removed) segment and replays again on the next open;
-        // already-applied sequences dedup through the MemTable.
+        // its (un-removed) segment and replays again on the next open,
+        // where an already-applied sequence is harmless (the probe
+        // skips it, or it lands beside its twin in the MemTable).
         MIO_FAILPOINT("wal.replay.frame");
-        std::string record;
-        wal::LogReader reader(segment.get());
         bool relog_ok = true;
-        if (!reader.readAt(pos, &record)) {
+        if (wal::LogReader(index->segment(ref).segment.get())
+                .readAt(index->frame(ref).pos, &record)) {
+            relog_ok = replayRecord(Slice(record));
+        } else {
             // Indexed frames passed their CRC at scan time, so damage
             // here is real media trouble: count it, drop the frame
             // (its bytes are unreplayable either way).
             stats_.wal_corrupt_frames.fetch_add(
                 1, std::memory_order_relaxed);
-        } else {
-            uint64_t max_seq = 0;
-            bool relog_failed = false;
-            replayRecord(Slice(record), &max_seq, &relog_failed,
-                         /*skip_superseded=*/true);
-            relog_ok = !relog_failed;
         }
-        uint64_t pending;
+        bool segment_done;
         {
             std::lock_guard<std::mutex> rl(recovery_mu_);
-            if (recovery_index_ == nullptr)
-                break;
-            recovery_index_->markReplayed(ref, relog_ok);
+            segment_done = index->markReplayed(ref, relog_ok);
+        }
+        if (segment_done) {
             // A fully-replayed segment leaves the registry only when
             // every re-log landed durably; otherwise it stays as the
             // sole durable home of the records the re-log missed.
-            for (const auto &name :
-                 recovery_index_->takeRemovableSegments())
+            for (const auto &name : index->takeRemovableSegments())
                 registry_->remove(name);
-            pending = recovery_index_->pendingFrames();
             stats_.recovery_pending_segments.store(
-                recovery_index_->pendingSegments(),
-                std::memory_order_relaxed);
+                index->pendingSegments(), std::memory_order_relaxed);
         }
-        recovery_pending_frames_.store(pending,
+        recovery_pending_frames_.store(index->pendingFrames(),
                                        std::memory_order_release);
         stats_.wal_frames_replayed.fetch_add(1,
                                              std::memory_order_relaxed);
@@ -724,27 +658,27 @@ MioDB::applyReplayWriter(Writer *w)
             stats_.wal_frames_on_demand.fetch_add(
                 1, std::memory_order_relaxed);
         }
-        if (pending == 0) {
-            drained = true;
-            break;
-        }
     }
-    if (drained)
+    if (index->pendingFrames() == 0)
         finishReplayDrain();
-    return Status::ok();
 }
 
 void
 MioDB::finishReplayDrain()
 {
     {
+        // Segments that never held a replayable frame leave here.
         std::lock_guard<std::mutex> rl(recovery_mu_);
+        for (const auto &name : recovery_index_->takeRemovableSegments())
+            registry_->remove(name);
         recovery_index_.reset();
     }
     // Order matters: lift the reclamation floor only after the last
     // frame's inserts are in -- from here merges may again drop
     // shadowed versions and bottom-level tombstones, and vlog GC may
-    // again treat unreferenced segments as dead.
+    // again treat unreferenced segments as dead. Enabling reclamation
+    // also clears a gate a crashed earlier instance left set (the
+    // repository outlives store instances).
     recovery_keep_floor_.store(kMaxSequence, std::memory_order_release);
     state_->repo->setTombstoneReclaim(true);
     stats_.recovery_pending_segments.store(0, std::memory_order_relaxed);
@@ -814,7 +748,8 @@ MioDB::writeImpl(Writer *w)
             s = Status::ioError("simulated crash: store is frozen");
         } else {
             try {
-                s = applyReplayWriter(w);
+                replayPending(w->replay, w->replay_key,
+                              w->replay != ReplayKind::kBatch);
             } catch (const sim::SimCrash &crash) {
                 onSimCrash();
                 s = Status::ioError(
@@ -1066,6 +1001,8 @@ MioDB::rotateMemTable(const std::function<void()> &relog)
     // the group (prefix flushed, remainder nowhere).
     if (relog)
         relog();
+    state_->sealed_seq.store(
+        std::max(state_->sealed_seq.load(), old_mem->maxSequence()));
     imms_.push_back(Immutable{old_mem, old_wal_id});
     const bool backlogged = static_cast<int>(imms_.size()) >
                             options_.max_immutable_memtables;

@@ -70,6 +70,13 @@ struct NvmState {
      */
     std::unique_ptr<ValueLog> vlog;
     std::atomic<uint64_t> next_table_id{1};
+    /**
+     * Highest sequence any sealed (rotated or shutdown-flushed)
+     * MemTable held. Nothing below the active MemTable carries a
+     * higher one, and with the WAL's own horizon it is where a
+     * reopened store resumes numbering.
+     */
+    std::atomic<uint64_t> sealed_seq{0};
 };
 
 class MioDB : public KVStore
@@ -250,7 +257,7 @@ class MioDB : public KVStore
         crash_hook_ = std::move(hook);
     }
 
-    // ---- instant recovery (options.instant_recovery) ----
+    // ---- WAL recovery (options.instant_recovery) ----
 
     /** WAL frames indexed at open but not yet replayed. */
     uint64_t
@@ -305,7 +312,7 @@ class MioDB : public KVStore
          * Instant recovery: a replay writer carries no ops of its own.
          * When it reaches the queue front, the leader path applies the
          * pending WAL frames its selector matches (see
-         * applyReplayWriter) with their original sequence numbers
+         * replayPending) with their original sequence numbers
          * instead of committing a group. kBatch writers come from the
          * background job and bail busy rather than park (the vlog GC
          * relocation rule -- a parked job can deadlock small pools);
@@ -363,9 +370,9 @@ class MioDB : public KVStore
      */
     void rotateMemTable(const std::function<void()> &relog = nullptr);
     std::string walName(uint64_t id) const;
-    /** @return busy when the NVM capacity budget denied the frame. */
-    Status appendWal(uint64_t seq, EntryType type, const Slice &key,
-                     const Slice &value);
+    /** Append one encoded record to the active segment.
+     *  @return busy when the NVM capacity budget denied the frame. */
+    Status appendWalRecord(const Slice &record);
     /**
      * Log group ops [from, end) as one combined record whose first op
      * has @p first_seq; single-op spans keep the singleton encoding.
@@ -373,29 +380,31 @@ class MioDB : public KVStore
      */
     Status appendWalOps(const std::vector<OpRef> &ops, size_t from,
                         uint64_t first_seq);
-    void replayWal();
     /**
-     * Apply one WAL record's ops with their ORIGINAL sequences.
-     * @p skip_superseded (instant recovery) drops any op whose key
-     * already has a version at or above the op's sequence: on-demand
-     * replay applies frames out of order, so a later frame's version
-     * of a key can reach the store (and sink below the MemTable)
-     * before an earlier frame replays -- inserting the older op then
-     * would break the newest-version-on-top layering reads depend on.
-     * Equal sequences are duplicates (a crash mid-recovery re-replays
-     * frames on the next open) and are dropped by the same check.
+     * Apply one WAL record's ops with their ORIGINAL sequences into
+     * the active MemTable, re-logging each. An op is dropped when the
+     * store already holds its key at or above the op's sequence:
+     * frames can reach the store out of order -- on-demand replay, or
+     * a segment an earlier instance kept after a denied re-log or
+     * left pending while it took new writes -- and the older op on
+     * top would break the newest-version-on-top layering reads depend
+     * on. Equal sequences are duplicates (a crash mid-recovery
+     * re-replays frames on the next open) and are dropped by the same
+     * check. Only ops at or below NvmState::sealed_seq need that
+     * probe: the active MemTable orders one key's versions by
+     * sequence itself, and nothing below it holds a higher one.
+     * @return false when the NVM budget denied a re-log.
      */
-    void replayRecord(const Slice &record, uint64_t *max_seq,
-                      bool *relog_failed, bool skip_superseded = false);
+    bool replayRecord(const Slice &record);
 
-    // ---- instant recovery ----
+    // ---- WAL recovery ----
 
     /**
-     * Instant-recovery open: scan the surviving segments' frame
-     * digests into recovery_index_ (no value bytes touched), publish
-     * the recovered sequence horizon, floor the version-reclamation
-     * bound, and disable bottom-level tombstone drops until the
-     * directory drains.
+     * Every open: scan the surviving segments' frame digests into
+     * recovery_index_ (no value bytes touched). With frames pending,
+     * publish the recovered sequence horizon, floor the
+     * version-reclamation bound, and disable bottom-level tombstone
+     * drops until the directory drains.
      */
     void buildRecoveryIndex();
     /**
@@ -405,14 +414,23 @@ class MioDB : public KVStore
      * applied by an earlier call are skipped). No-op once drained.
      */
     Status ensureRecovered(ReplayKind kind, const Slice &key);
-    /** Leader-only: collect, re-read, and apply @p w's frames. */
-    Status applyReplayWriter(Writer *w);
-    /** All frames applied: lift the floor, re-enable tombstone
-     *  reclamation and vlog GC, stamp recovery_ms_to_drained. */
+    /**
+     * The one frame-apply routine: collect the pending frames @p kind
+     * / @p key select (kBatch: at most a batch), re-read each, apply
+     * it, and retire finished segments; calls finishReplayDrain once
+     * nothing is pending. Runs under replay leadership, or in open()
+     * before any other thread can reach the store. @p on_demand
+     * counts the frames in wal_frames_on_demand too.
+     */
+    void replayPending(ReplayKind kind, const Slice &key,
+                       bool on_demand);
+    /** All frames applied: drop the index and its leftover segments,
+     *  lift the floor, re-enable tombstone reclamation and vlog GC,
+     *  stamp recovery_ms_to_drained. */
     void finishReplayDrain();
     /** Ensure a background replay job is queued (token-dedup). */
     void scheduleWalReplay();
-    /** Job body: replay batches of replay_batch_frames until drained,
+    /** Job body: replay batches of kReplayBatchFrames until drained,
      *  paused, or the writer queue is contended. */
     void walReplayJob();
     /**
@@ -639,7 +657,9 @@ class MioDB : public KVStore
     std::deque<Writer *> writers_;
     std::shared_ptr<lsm::MemTable> mem_;
     uint64_t mem_wal_id_ = 0;
-    uint64_t first_own_wal_id_ = 0;  //!< replay floor (see replayWal)
+    /** Segments named below this id predate the instance and are
+     *  recovered at open (see buildRecoveryIndex). */
+    uint64_t first_own_wal_id_ = 0;
     std::shared_ptr<wal::LogSegment> mem_wal_;
     std::atomic<uint64_t> seq_{1};
 
@@ -712,14 +732,16 @@ class MioDB : public KVStore
     std::atomic<bool> shutting_down_{false};
     std::atomic<bool> crashed_{false};
 
-    // ---- instant recovery state ----
+    // ---- WAL recovery state ----
 
     /**
-     * The frame directory built at open when instant_recovery is on
-     * and old segments survived; reset (null) once every frame has
-     * been applied. All access is serialized by recovery_mu_; the
-     * pending-frame count is mirrored into recovery_pending_frames_
-     * so read fast paths never take the mutex when recovery is over.
+     * The frame directory built at every open; reset (null) once
+     * every frame has been applied -- inside open() unless
+     * instant_recovery is on. Only replayPending mutates it;
+     * recovery_mu_ orders those writes against other threads' reads.
+     * The pending-frame count is mirrored into
+     * recovery_pending_frames_ so read fast paths never take the
+     * mutex when recovery is over.
      */
     mutable std::mutex recovery_mu_;
     std::unique_ptr<RecoveryIndex> recovery_index_;

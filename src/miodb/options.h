@@ -131,24 +131,15 @@ struct MioOptions {
     uint64_t scrub_interval_ms = 0;
 
     /**
-     * Scrub throttle: a pass paces itself so checksum verification
-     * consumes at most this much media bandwidth (0 = unthrottled).
-     * Keeps the scrubber's read traffic from competing with
-     * foreground gets for memory bandwidth; see EXPERIMENTS.md for
-     * the measured overhead.
-     */
-    uint64_t scrub_rate_mb_per_sec = 16;
-
-    /**
      * NVM exhaustion watermarks, as fractions of the device's
      * capacity budget (NvmDevice::capacityBytes(); ignored when the
      * device has no budget). Above the soft watermark every write is
      * slowed by write_slowdown_micros and migration to the repository
      * is boosted; above the hard watermark writers stall (bounded by
-     * write_stall_timeout_ms) and then receive Status::busy.
+     * write_stall_timeout_ms) and then receive Status::busy. The
+     * hard watermark is the governor's fixed 0.95.
      */
     double nvm_soft_watermark = 0.85;
-    double nvm_hard_watermark = 0.95;
     uint64_t write_slowdown_micros = 100;
     uint64_t write_stall_timeout_ms = 1000;
 
@@ -188,16 +179,11 @@ struct MioOptions {
      * RecoveryIndex and returns; frames are applied incrementally by a
      * kWalReplay background job, and a get/scan that touches a
      * not-yet-replayed key range replays just the covering frames
-     * on demand first. Off: open() replays the whole WAL before
-     * returning (the pre-instant behaviour).
+     * on demand first. Off: open() builds the same index and drains
+     * it before returning, so the store is fully recovered when the
+     * constructor returns.
      */
     bool instant_recovery = false;
-
-    /**
-     * Frames one background replay pass applies before yielding the
-     * writer queue (and its worker) back to foreground traffic.
-     */
-    size_t replay_batch_frames = 64;
 
     // ---- memory governor + DRAM read cache (DESIGN.md Sec. 5k) -----
 

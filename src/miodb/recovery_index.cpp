@@ -41,8 +41,7 @@ RecoveryIndex::build(wal::WalRegistry *registry,
             WalDigest d;
             if (!parseWalDigest(payload, &d)) {
                 // Malformed past the CRC: unreplayable, and nothing
-                // after it can be trusted (mirrors the torn-tail rule
-                // of the full replay).
+                // after it can be trusted (the torn-tail rule).
                 (*corrupt_frames)++;
                 break;
             }
@@ -107,7 +106,8 @@ RecoveryIndex::anyPending(ReplayKind kind, const Slice &key) const
     for (const auto &seg : segments_) {
         if (seg.pending == 0)
             continue;
-        for (const auto &f : seg.frames) {
+        for (size_t i = seg.first_pending; i < seg.frames.size(); i++) {
+            const Frame &f = seg.frames[i];
             if (!f.replayed && matches(f, kind, key))
                 return true;
         }
@@ -124,7 +124,7 @@ RecoveryIndex::collect(ReplayKind kind, const Slice &key,
         const Segment &seg = segments_[s];
         if (seg.pending == 0)
             continue;
-        for (size_t i = 0; i < seg.frames.size(); i++) {
+        for (size_t i = seg.first_pending; i < seg.frames.size(); i++) {
             if (out->size() >= max_frames)
                 return;
             const Frame &f = seg.frames[i];
@@ -134,18 +134,26 @@ RecoveryIndex::collect(ReplayKind kind, const Slice &key,
     }
 }
 
-void
+bool
 RecoveryIndex::markReplayed(const FrameRef &ref, bool relog_ok)
 {
     Segment &seg = segments_[ref.seg];
     Frame &f = seg.frames[ref.frame];
     if (f.replayed)
-        return;
+        return false;
     f.replayed = true;
     seg.pending--;
     pending_frames_--;
+    // The next background batch (or any selector) then starts at the
+    // first frame still pending instead of re-walking the replayed
+    // prefix: draining a segment stays linear in its frames.
+    while (seg.first_pending < seg.frames.size() &&
+           seg.frames[seg.first_pending].replayed) {
+        seg.first_pending++;
+    }
     if (!relog_ok)
         seg.relog_ok = false;
+    return seg.pending == 0;
 }
 
 std::vector<std::string>

@@ -1,20 +1,21 @@
 /**
  * @file
- * RecoveryIndex: the per-segment frame directory instant recovery
- * serves from while the WAL replays (see DESIGN.md Sec. 5j).
+ * RecoveryIndex: the per-segment frame directory every open builds
+ * and WAL recovery applies (see DESIGN.md Sec. 5j).
  *
  * Built by one cheap scan at open(): each surviving WAL frame's
  * digest header (min/max key, op count, first sequence) is decoded in
  * place -- no value bytes are materialized -- and recorded with the
  * frame's stable position inside its segment. Afterwards the store
  * can answer, for any key or key range, exactly which frames must be
- * applied before a read there is correct, and the background replay
- * job walks the same directory oldest-first until nothing is pending.
+ * applied before a read there is correct, and the drain inside open()
+ * or the background replay job walks the same directory oldest-first
+ * until nothing is pending.
  *
- * Thread model: the index has no internal locking. The owning MioDB
- * serializes every access under its recovery mutex; the only
- * concurrency-visible signal (the pending-frame count) is mirrored
- * into an atomic owned by the store.
+ * Thread model: the index has no internal locking. Only the owning
+ * MioDB's replay routine mutates it, one leader at a time; the store
+ * orders those writes against its read-side filter under its recovery
+ * mutex, and mirrors the pending-frame count into an atomic.
  */
 #ifndef MIO_MIODB_RECOVERY_INDEX_H_
 #define MIO_MIODB_RECOVERY_INDEX_H_
@@ -40,7 +41,7 @@ enum class ReplayKind : uint8_t {
     kBatch,    //!< background: next batch of frames, oldest first
     kKey,      //!< on-demand get: frames whose range covers one key
     kFromKey,  //!< on-demand scan: frames with max_key >= start
-    kAll,      //!< on-demand snapshot: every pending frame
+    kAll,      //!< snapshot, or the drain inside open(): every frame
 };
 
 class RecoveryIndex
@@ -65,6 +66,7 @@ class RecoveryIndex
         std::shared_ptr<wal::LogSegment> segment;
         std::vector<Frame> frames;
         size_t pending = 0;    //!< frames not yet replayed
+        size_t first_pending = 0;  //!< every frame before it replayed
         bool relog_ok = true;  //!< every replayed op re-logged durably
         bool removed = false;  //!< handed out by takeRemovableSegments
     };
@@ -81,8 +83,8 @@ class RecoveryIndex
      * @p nvm only for the bytes the digest decode actually touches --
      * this is what keeps open() proportional to the directory, not
      * the log. A torn or malformed frame ends that segment's
-     * directory (the tail after a tear is unreplayable, as in the
-     * full replay) and bumps @p corrupt_frames.
+     * directory (the tail after a tear is unreplayable) and bumps
+     * @p corrupt_frames.
      */
     void build(wal::WalRegistry *registry, const std::string &own_floor,
                sim::NvmDevice *nvm, uint64_t *corrupt_frames);
@@ -121,8 +123,9 @@ class RecoveryIndex
 
     /** Mark @p ref replayed; @p relog_ok false taints the segment so
      *  it survives in the registry (its frames stay the only durable
-     *  copy of what a denied re-log failed to duplicate). */
-    void markReplayed(const FrameRef &ref, bool relog_ok);
+     *  copy of what a denied re-log failed to duplicate).
+     *  @return true when this was the segment's last pending frame. */
+    bool markReplayed(const FrameRef &ref, bool relog_ok);
 
     /**
      * Names of segments whose every frame has been replayed with all

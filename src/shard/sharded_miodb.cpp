@@ -144,7 +144,6 @@ ShardedMioDB::buildShards(const miodb::MioOptions &shard_options,
     gc.vlog_budget_bytes =
         shard_options.vlog_budget_bytes * num_shards;
     gc.nvm_soft_watermark = shard_options.nvm_soft_watermark;
-    gc.nvm_hard_watermark = shard_options.nvm_hard_watermark;
     gc.adaptive = shard_options.adaptive_memory;
     gc.dram_floor_fraction = shard_options.dram_floor_fraction;
     gc.tuner_interval_ms = shard_options.mem_tuner_interval_ms;

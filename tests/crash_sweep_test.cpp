@@ -345,16 +345,18 @@ ssdModePoints()
 }
 
 /**
- * Crash INSIDE instant recovery: run a workload, power-fail with WAL
+ * Crash INSIDE WAL recovery: run a workload, power-fail with WAL
  * segments still pending, then reopen with a recovery-path point
  * armed. The crash lands in the recovery-index scan (constructor
+ * throws), in the drain inside open() (@p instant false: constructor
  * throws), or in on-demand/background frame replay (the verification
  * gets drive it). The doubly-crashed image must still recover to the
  * acked model on a third open -- duplicate frame replays dedup by
  * sequence, un-replayed segments stay durable.
  */
 void
-sweepRecoveryPoint(const char *point, uint64_t nth, bool ssd_mode)
+sweepRecoveryPoint(const char *point, uint64_t nth, bool ssd_mode,
+                   bool instant)
 {
     auto &fp = sim::FailpointRegistry::instance();
     fp.disarmAll();
@@ -364,7 +366,8 @@ sweepRecoveryPoint(const char *point, uint64_t nth, bool ssd_mode)
     sim::SsdDevice ssd;
     wal::WalRegistry registry;
     std::shared_ptr<NvmState> state;
-    const MioOptions opts = sweepOptions(ssd_mode);
+    MioOptions opts = sweepOptions(ssd_mode);
+    opts.instant_recovery = instant;
 
     auto workload = makeWorkload(/*seed=*/0xC0FFEE, 500, 150);
     const std::set<std::string> keys = touchedKeys(workload);
@@ -393,7 +396,8 @@ sweepRecoveryPoint(const char *point, uint64_t nth, bool ssd_mode)
                                           ssd_mode ? &ssd : nullptr,
                                           &registry, state);
         } catch (const sim::SimCrash &) {
-            // recovery.index.build fired during the directory scan.
+            // recovery.index.build fired during the directory scan, or
+            // wal.replay.frame during the drain inside open().
         }
         if (db2 != nullptr) {
             std::string v;
@@ -425,17 +429,24 @@ sweepRecoveryPoint(const char *point, uint64_t nth, bool ssd_mode)
 
 TEST(CrashSweepTest, RecoveryPathSweep)
 {
-    const char *points[] = {"recovery.index.build",
-                            "recovery.on_demand", "wal.replay.frame"};
-    for (bool ssd_mode : {false, true}) {
-        for (uint64_t nth : {1u, 4u, 40u}) {
-            for (const char *point : points) {
-                SCOPED_TRACE(std::string(point) + "@" +
-                             std::to_string(nth) +
-                             (ssd_mode ? " ssd" : " pm"));
-                sweepRecoveryPoint(point, nth, ssd_mode);
-                if (::testing::Test::HasFatalFailure())
-                    return;
+    // A default open drains inside the constructor, so only the
+    // instant mode has on-demand replay to crash in.
+    for (bool instant : {true, false}) {
+        std::vector<const char *> points = {"recovery.index.build",
+                                            "wal.replay.frame"};
+        if (instant)
+            points.push_back("recovery.on_demand");
+        for (bool ssd_mode : {false, true}) {
+            for (uint64_t nth : {1u, 4u, 40u}) {
+                for (const char *point : points) {
+                    SCOPED_TRACE(std::string(point) + "@" +
+                                 std::to_string(nth) +
+                                 (ssd_mode ? " ssd" : " pm") +
+                                 (instant ? " instant" : " full"));
+                    sweepRecoveryPoint(point, nth, ssd_mode, instant);
+                    if (::testing::Test::HasFatalFailure())
+                        return;
+                }
             }
         }
     }

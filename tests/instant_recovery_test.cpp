@@ -256,6 +256,39 @@ TEST(InstantRecoveryTest, PutsAndDeletesSupersedeReplay)
     expectModel(db.get(), m, cs.keys, "superseded after drain");
 }
 
+TEST(InstantRecoveryTest, FullReopenKeepsWritesMadeOverPendingFrames)
+{
+    // An instant-recovery instance takes writes over frames it never
+    // replays, then closes cleanly: the writes are flushed, the old
+    // frames stay in their segments. A default (full-replay) reopen
+    // must not replay those frames on top of the newer versions.
+    CrashedStore cs;
+    cs.crashPopulated(/*ssd_mode=*/false);
+    Model m = cs.model;
+    {
+        auto db = cs.reopen(/*deterministic=*/true);
+        db->pauseBackgroundReplayForTesting(true);
+        int written = 0;
+        for (const auto &key : cs.keys) {
+            if (written++ == 40)
+                break;
+            if (written % 2 == 0) {
+                ASSERT_TRUE(db->put(Slice(key), Slice("new-" + key)).isOk());
+                m[key] = "new-" + key;
+            } else {
+                ASSERT_TRUE(db->remove(Slice(key)).isOk());
+                m.erase(key);
+            }
+        }
+        ASSERT_GT(db->recoveryPendingFrames(), 0u);
+    }
+    MioOptions full = cs.opts;
+    full.instant_recovery = false;
+    MioDB db(full, &cs.nvm, nullptr, &cs.registry, cs.state);
+    EXPECT_EQ(db.recoveryPendingFrames(), 0u);
+    expectModel(&db, m, cs.keys, "full reopen");
+}
+
 TEST(InstantRecoveryTest, ScansSeeFullPrefixBeforeDrain)
 {
     CrashedStore cs;

@@ -4,6 +4,7 @@
 
 #include <thread>
 
+#include "kv/store_stats.h"
 #include "miodb/miodb.h"
 #include "util/random.h"
 
@@ -114,6 +115,53 @@ TEST(MioDBRecoveryTest, MultipleMemtablesWorthOfWal)
     // Flushed PMTables survive in the adopted NVM image; everything
     // still buffered in DRAM replays from its WAL segment: no loss.
     EXPECT_EQ(found, n);
+    // Default options drain the recovery index inside open(): nothing
+    // is pending once the constructor returns, no frame waited for a
+    // get, and the store was ready and drained at the same instant.
+    EXPECT_EQ(db2.recoveryPendingFrames(), 0u);
+    const StatsSnapshot s = snapshotOf(db2.stats());
+    EXPECT_GT(s.wal_frames_replayed, 0u);
+    EXPECT_EQ(s.wal_frames_on_demand, 0u);
+    EXPECT_EQ(s.recovery_ms_to_drained, s.recovery_ms_to_ready);
+}
+
+TEST(MioDBRecoveryTest, OverwriteAfterCleanReopenSurvivesCrash)
+{
+    // A clean close leaves no WAL, so the next instance must resume
+    // numbering above the sequences its flushed tables hold. If it
+    // restarted low, recovery after a later crash would rank the
+    // image's older version above the acknowledged overwrite.
+    for (bool instant : {false, true}) {
+        SCOPED_TRACE(instant ? "instant" : "full");
+        sim::NvmDevice nvm;
+        nvm.setCrashShadow(true);
+        wal::WalRegistry registry;
+        std::shared_ptr<NvmState> state;
+        uint64_t seq_at_close;
+        {
+            MioDB db(smallOptions(), &nvm, nullptr, &registry);
+            state = db.nvmState();
+            for (int i = 0; i < 2000; i++) {
+                ASSERT_TRUE(db.put(Slice(makeKey(i % 100)),
+                                   Slice("old" + std::to_string(i)))
+                                .isOk());
+            }
+            seq_at_close = db.currentSequence();
+        }
+        {
+            MioDB db(smallOptions(), &nvm, nullptr, &registry, state);
+            EXPECT_GE(db.currentSequence(), seq_at_close);
+            ASSERT_TRUE(db.put(Slice(makeKey(5)), Slice("new")).isOk());
+            db.simulateCrash();
+        }
+        nvm.discardUnpersisted();
+        MioOptions o = smallOptions();
+        o.instant_recovery = instant;
+        MioDB db(o, &nvm, nullptr, &registry, state);
+        std::string v;
+        ASSERT_TRUE(db.get(Slice(makeKey(5)), &v).isOk());
+        EXPECT_EQ(v, "new");
+    }
 }
 
 TEST(MioDBRecoveryTest, CleanShutdownLeavesNoWal)
