@@ -7,7 +7,9 @@
 #
 # The ASan pass rebuilds into build-asan/ with MIO_SANITIZE=address and
 # runs the shutdown- and recovery-heavy tests (shared-pool shard
-# teardown, WAL recovery in both modes) under the memory checker.
+# teardown, WAL recovery in both modes) and the checksum-kernel tests
+# (CRC32C's unaligned-word hardware path and its portable path, value
+# log payload verification) under the memory checker.
 # The TSan pass rebuilds into build-tsan/ with MIO_SANITIZE=thread and
 # runs the concurrency-sensitive tests (writer-group handoff, lock-free
 # readers, recovery) under the race detector. Set MIO_TSAN_TESTS to a
@@ -53,8 +55,9 @@ if [ "${1:-}" != "--tsan-only" ]; then
                -R "edge_case_test|snapshot_iterator_test|read_cache_test")
     echo "=== ASan: rebuild with MIO_SANITIZE=address"
     cmake -B build-asan -S . -DMIO_SANITIZE=address >/dev/null
-    cmake --build build-asan -j "$JOBS" --target \
-          sharded_store_test miodb_recovery_test instant_recovery_test
+    ASAN_TESTS="sharded_store_test miodb_recovery_test instant_recovery_test coding_test value_log_test"
+    # Unquoted on purpose: one --target word per test.
+    cmake --build build-asan -j "$JOBS" --target $ASAN_TESTS
     # detect_leaks=0: LeakSanitizer reports a few KB of indirect leaks
     # from the PMTable <-> MergeOp ownership cycle (an emptied newtable
     # keeps its finished merge op, whose newt points back at it; see
@@ -63,7 +66,7 @@ if [ "${1:-}" != "--tsan-only" ]; then
     (cd build-asan &&
          ASAN_OPTIONS=detect_leaks=0 \
          ctest --output-on-failure \
-               -R "sharded_store_test|miodb_recovery_test|instant_recovery_test")
+               -R "^(${ASAN_TESTS// /|})\$")
     echo "=== no bare sleep-polling on background control paths"
     if grep -rn "sleep_for" src/sched src/miodb src/lsm src/shard; then
         echo "error: background paths must wait on the scheduler" >&2

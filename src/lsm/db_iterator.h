@@ -1,7 +1,8 @@
 /**
  * @file
- * DBIterator: the user-facing cursor over a pinned snapshot. Wraps a
- * heap-merged internal-key iterator and applies snapshot semantics:
+ * DBIterator: the user-facing cursor over a pinned snapshot. Wraps an
+ * internal-key MergingIterator (which compares its children linearly
+ * on every step; there is no heap) and applies snapshot semantics:
  * versions newer than the snapshot bound are invisible, the newest
  * visible version of each key wins, tombstones hide everything below
  * them, and damaged entries (checksum failure or a quarantined
@@ -118,8 +119,11 @@ class DBIterator
                 }
                 continue;
             }
-            user_key_ = parsed.user_key.toString();
-            value_ = base_->value().toString();
+            // assign() reuses the buffers across rows.
+            user_key_.assign(parsed.user_key.data(),
+                             parsed.user_key.size());
+            const Slice value = base_->value();
+            value_.assign(value.data(), value.size());
             type_ = parsed.type;
             valid_ = true;
             return;

@@ -380,11 +380,14 @@ LsmTree::maybeScheduleCompaction()
         if (!job.valid())
             return;
         outstanding_.fetch_add(1, std::memory_order_acq_rel);
+        // Shared by both callbacks so the run can drop the job's file
+        // references before it counts as finished (see runCompactionJob).
+        auto claimed = std::make_shared<CompactionJob>(std::move(job));
         bool accepted = sched_->submit(
             sched::JobClass::kSsdCompaction,
-            [this, job] { runCompactionJob(job); },
-            [this, job] {
-                versions_.releaseJob(job);
+            [this, claimed] { runCompactionJob(claimed.get()); },
+            [this, claimed] {
+                versions_.releaseJob(*claimed);
                 outstanding_.fetch_sub(1, std::memory_order_acq_rel);
             });
         if (!accepted)
@@ -393,18 +396,23 @@ LsmTree::maybeScheduleCompaction()
 }
 
 void
-LsmTree::runCompactionJob(const CompactionJob &job)
+LsmTree::runCompactionJob(CompactionJob *job)
 {
     try {
-        doCompaction(job);
+        doCompaction(*job);
     } catch (const sim::SimCrash &) {
-        versions_.releaseJob(job);
+        versions_.releaseJob(*job);
         crashed_.store(true);
         outstanding_.fetch_sub(1, std::memory_order_acq_rel);
         // Rethrow so the scheduler performs the store-wide freeze and
         // fires the owner's crash callback.
         throw;
     }
+    // The last reference to a replaced file deletes its blob. Drop the
+    // job's references before the job counts as finished, or waitIdle()
+    // can return while the scheduler still holds them and a caller
+    // lists blobs that vanish a moment later.
+    *job = CompactionJob();
     outstanding_.fetch_sub(1, std::memory_order_acq_rel);
     sched_->notifyEvent();
     maybeScheduleCompaction();

@@ -184,7 +184,7 @@ class LsmTree
 
   private:
     /** Job body: run @p job, then keep the pipeline primed. */
-    void runCompactionJob(const CompactionJob &job);
+    void runCompactionJob(CompactionJob *job);
     void doCompaction(const CompactionJob &job);
     /** Build the private worker pool (no external scheduler). */
     std::unique_ptr<sched::BackgroundScheduler> makePrivateScheduler();

@@ -224,20 +224,39 @@ BufferLevel::finishMigration()
     republishLocked(nullptr);
 }
 
+void
+BufferLevel::collectArenas(std::map<const Arena *, size_t> *out) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto &t : tables_)
+        t->collectArenas(out);
+    if (merge_) {
+        merge_->newt->collectArenas(out);
+        merge_->oldt->collectArenas(out);
+    }
+    if (migrating_)
+        migrating_->collectArenas(out);
+}
+
+namespace {
+
+size_t
+sumArenaBytes(const std::map<const Arena *, size_t> &arenas)
+{
+    size_t total = 0;
+    for (const auto &[arena, bytes] : arenas)
+        total += bytes;
+    return total;
+}
+
+} // namespace
+
 size_t
 BufferLevel::arenaBytes() const
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t total = 0;
-    for (const auto &t : tables_)
-        total += t->arenaBytes();
-    if (merge_) {
-        total += merge_->newt->arenaBytes();
-        total += merge_->oldt->arenaBytes();
-    }
-    if (migrating_)
-        total += migrating_->arenaBytes();
-    return total;
+    std::map<const Arena *, size_t> arenas;
+    collectArenas(&arenas);
+    return sumArenaBytes(arenas);
 }
 
 bool
@@ -278,10 +297,10 @@ LevelManager::totalTables() const
 size_t
 LevelManager::totalArenaBytes() const
 {
-    size_t total = 0;
+    std::map<const Arena *, size_t> arenas;
     for (const auto &level : levels_)
-        total += level.arenaBytes();
-    return total;
+        level.collectArenas(&arenas);
+    return sumArenaBytes(arenas);
 }
 
 } // namespace mio::miodb

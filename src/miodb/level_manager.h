@@ -12,6 +12,7 @@
 #include <atomic>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -168,8 +169,11 @@ class BufferLevel
     std::shared_ptr<PMTable> migratingTable() const;
     void finishMigration();
 
-    /** Total NVM bytes referenced by this level's tables. */
+    /** Total NVM bytes referenced by this level's tables, each arena
+     *  once (a merge target co-owns its absorbed newtable's arenas). */
     size_t arenaBytes() const;
+    /** Add every arena this level's tables reference to @p out. */
+    void collectArenas(std::map<const Arena *, size_t> *out) const;
 
   private:
     /**
@@ -209,14 +213,16 @@ class LevelManager
 
     /**
      * True while any level has a merge or migration in flight. Used
-     * to gate exact accounting comparisons: an in-flight zero-copy
-     * merge's absorb() co-owns arenas, so totalArenaBytes()
-     * transiently double-counts until the merge finishes.
+     * to gate exact accounting comparisons: the buffer charge settles
+     * only when a merge or migration finishes.
      */
     bool anyLevelBusy() const;
 
     /** Total resident PMTables across levels. */
     size_t totalTables() const;
+    /** NVM bytes of every arena any level references, each once: a
+     *  merge result pushed down before its level retires the merge is
+     *  referenced from both levels for a moment. */
     size_t totalArenaBytes() const;
 
   private:

@@ -481,7 +481,12 @@ void
 MioDB::vlogGcJob()
 {
     ValueLog *vlog = state_->vlog.get();
-    if (vlog == nullptr || shutting_down_.load() || crashed_.load()) {
+    // Re-check the enable flag here, not only in scheduleVlogGc: a
+    // submit can pass that check just before the destructor disables
+    // GC and finds no GC job queued or running, and then land after
+    // the destructor has dropped the active WAL segment.
+    if (vlog == nullptr || shutting_down_.load() || crashed_.load() ||
+        !vlog_gc_enabled_.load(std::memory_order_acquire)) {
         vlog_gc_scheduled_.store(false);
         sched_->notifyEvent();
         return;
@@ -1079,9 +1084,9 @@ MioDB::memoryAccountingConsistent() const
     if (!governor_->chargesConsistent())
         return false;
     // Exact cross-checks against ground truth only make sense at
-    // quiescence: an in-flight zero-copy merge's absorb() co-owns
-    // arenas (totalArenaBytes transiently double-counts), and a
-    // shared governor aggregates every shard's charges.
+    // quiescence: the buffer charge settles only when a merge or
+    // migration finishes, and a shared governor aggregates every
+    // shard's charges.
     if (sched_ == nullptr || sched_->busyJobs() != 0 ||
         state_->levels.anyLevelBusy())
         return true;

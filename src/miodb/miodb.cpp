@@ -7,6 +7,7 @@
 #include "miodb/miodb.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <limits>
@@ -1117,11 +1118,23 @@ MioDB::remove(const Slice &key)
     return writeImpl(&w);
 }
 
+namespace {
+
+/** True while @p t takes part in a zero-copy merge still moving nodes. */
+bool
+mergeInFlight(const PMTable &t)
+{
+    const std::shared_ptr<MergeOp> op = t.activeMerge();
+    return op != nullptr && !op->done.load(std::memory_order_acquire);
+}
+
+} // namespace
+
 bool
 MioDB::probeLevelManifest(const LevelManifest &m, const Slice &key,
                           uint64_t h1, uint64_t h2, std::string *value,
                           EntryType *type, uint64_t *seq,
-                          bool use_bloom, bool *corrupt)
+                          bool use_bloom, bool *corrupt, bool *stale)
 {
     if (!m.hasMembers())
         return false;
@@ -1151,10 +1164,25 @@ MioDB::probeLevelManifest(const LevelManifest &m, const Slice &key,
         // The descent walks NVM-resident nodes: charge media reads.
         nvm_->chargeRandomReads(
             sim::skipDescentDepth(ref.table->entryCount()));
-        if (ref.table->list().get(key, value, type, seq, verify,
-                                  corrupt)) {
-            return true;
+        // A manifest published before a merge claimed this table still
+        // lists it as a plain member. Once the merge moves nodes, a
+        // plain search can follow a moved node into the merge target
+        // (an older version of the key may wait there) and never sees
+        // the node in transit. The registration epoch is bumped before
+        // any node moves, so checking it around the search catches
+        // every such overlap.
+        const uint64_t epoch = ref.table->mergeEpoch();
+        const bool hit = ref.table->list().get(key, value, type, seq,
+                                               verify, corrupt);
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (ref.table->mergeEpoch() != epoch ||
+            ((epoch & 1) != 0 && mergeInFlight(*ref.table))) {
+            *corrupt = false;
+            *stale = true;
+            return false;
         }
+        if (hit)
+            return true;
         if (*corrupt)
             return false;
     }
@@ -1217,8 +1245,9 @@ MioDB::lookupBufferAndRepo(const Slice &key, std::string *value,
         const BufferLevel &bl = state_->levels.level(i);
         const LevelManifest *m = bl.acquireManifest();
         while (true) {
+            bool stale = false;
             if (probeLevelManifest(*m, key, h1, h2, value, type, seq,
-                                   use_bloom, corrupt)) {
+                                   use_bloom, corrupt, &stale)) {
                 return true;
             }
             if (*corrupt)
@@ -1229,9 +1258,11 @@ MioDB::lookupBufferAndRepo(const Slice &key, std::string *value,
             // filters go stale the same way). Publication happens
             // before any node moves, so rechecking the pointer after
             // the probe catches every such race; a reader that misses
-            // for real sees a stable pointer and descends.
+            // for real sees a stable pointer and descends. A stale
+            // probe re-runs even on the same pointer: the claiming
+            // merge is about to publish its manifest.
             const LevelManifest *now = bl.acquireManifest();
-            if (now == m)
+            if (now == m && !stale)
                 break;
             m = now;
             stats_.read_retries.fetch_add(1, std::memory_order_relaxed);
@@ -1550,18 +1581,17 @@ MioDB::scanAt(const Snapshot *snapshot, const Slice &start_key,
     for (iter.seek(start_key); iter.valid() &&
                                static_cast<int>(out->size()) < count;
          iter.next()) {
-        std::string val = iter.value().toString();
+        std::string val;
         if (iter.entryType() == EntryType::kValuePointer) {
             // Lazy pointer resolution. The snapshot's bound gates GC
             // segment unlinks (oldestSnapshotSeq), so every pointer
             // this view can surface stays resolvable until release --
             // a failure here is real damage, not a race.
             ValuePointer vp;
-            Status vs =
-                (state_->vlog != nullptr &&
-                 ValuePointer::decode(Slice(val), &vp))
-                    ? state_->vlog->read(vp, &val)
-                    : Status::corruption(iter.key());
+            Status vs = (state_->vlog != nullptr &&
+                         ValuePointer::decode(iter.value(), &vp))
+                            ? state_->vlog->read(vp, &val)
+                            : Status::corruption(iter.key());
             if (!vs.isOk()) {
                 stats_.corruptions_detected.fetch_add(
                     1, std::memory_order_relaxed);
@@ -1569,6 +1599,8 @@ MioDB::scanAt(const Snapshot *snapshot, const Slice &start_key,
                            ? vs
                            : Status::corruption(iter.key());
             }
+        } else {
+            val = iter.value().toString();
         }
         out->emplace_back(iter.key().toString(), std::move(val));
     }

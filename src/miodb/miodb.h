@@ -597,13 +597,15 @@ class MioDB : public KVStore
      * negative probe skips the level), then resident tables newest
      * first, the in-flight merge pair (three-step protocol), and the
      * migrating table -- all via metadata captured at publish time,
-     * no locks.
+     * no locks. Sets @p stale (and answers a miss) when @p m lists a
+     * table as a plain member that a live merge has since claimed:
+     * only the level's current manifest probes it correctly.
      */
     bool probeLevelManifest(const LevelManifest &m, const Slice &key,
                             uint64_t h1, uint64_t h2,
                             std::string *value, EntryType *type,
                             uint64_t *seq, bool use_bloom,
-                            bool *corrupt);
+                            bool *corrupt, bool *stale);
 
     /**
      * A pinned view (see getSnapshot). All members are owning

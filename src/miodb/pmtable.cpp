@@ -47,6 +47,14 @@ PMTable::bloomMayContain(const Slice &key) const
     return filter->mayContain(key);
 }
 
+void
+PMTable::collectArenas(std::map<const Arena *, size_t> *out) const
+{
+    std::lock_guard<std::mutex> lock(meta_mu_);
+    for (const auto &arena : arenas_)
+        out->emplace(arena.get(), arena->capacity());
+}
+
 size_t
 PMTable::arenaBytes() const
 {

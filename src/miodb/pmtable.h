@@ -11,6 +11,7 @@
 #define MIO_MIODB_PMTABLE_H_
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -74,6 +75,9 @@ class PMTable
 
     /** Bytes of NVM the referenced arenas reserve. */
     size_t arenaBytes() const;
+    /** Add every arena this table references to @p out (arena ->
+     *  reserved bytes), so arenas two tables share count once. */
+    void collectArenas(std::map<const Arena *, size_t> *out) const;
 
     size_t
     arenaCount() const
@@ -162,6 +166,15 @@ struct MergeOp {
     /** Node currently being moved; persistent state for recovery. */
     std::atomic<SkipList::Node *> mark{nullptr};
     std::atomic<bool> done{false};
+    /**
+     * Bumped (then a release fence) before each moved node is linked
+     * into the oldtable, which rewrites the node's own next pointers.
+     * A newtable search standing on that node would follow them into
+     * the oldtable and could return an older version of a key whose
+     * newest is still in the newtable; a search that sees this count
+     * change (after an acquire fence) must be repeated.
+     */
+    std::atomic<uint64_t> relinks{0};
     /**
      * Combined key range of the pair, captured at beginMerge(). The
      * union range is invariant while nodes shuffle between the two

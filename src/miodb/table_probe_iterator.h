@@ -24,6 +24,7 @@
 #ifndef MIO_MIODB_TABLE_PROBE_ITERATOR_H_
 #define MIO_MIODB_TABLE_PROBE_ITERATOR_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -161,8 +162,19 @@ class TableProbeIterator : public lsm::KVIterator
                     best = probeChain(op->oldt.get(), k, seq,
                                       inclusive);
                 } else {
-                    best = listLowerBound(t->list(), k, seq,
-                                          inclusive);
+                    // Repeated while a node moved into the oldtable
+                    // under the search (see MergeOp::relinks).
+                    for (;;) {
+                        const uint64_t r =
+                            op->relinks.load(std::memory_order_acquire);
+                        best = listLowerBound(t->list(), k, seq,
+                                              inclusive);
+                        std::atomic_thread_fence(
+                            std::memory_order_acquire);
+                        if (op->relinks.load(
+                                std::memory_order_relaxed) == r)
+                            break;
+                    }
                     const Node *m =
                         op->mark.load(std::memory_order_acquire);
                     if (m != nullptr && qualifies(m, k, seq, inclusive) &&
@@ -180,6 +192,7 @@ class TableProbeIterator : public lsm::KVIterator
                 // newtable nodes are the newtable cursor's job).
                 best = listLowerBound(t->list(), k, seq, inclusive);
             }
+            std::atomic_thread_fence(std::memory_order_acquire);
             if (t->mergeEpoch() == e1)
                 return best;
         }

@@ -95,6 +95,13 @@ ValueLog::append(const Slice &key, const Slice &value, ValuePointer *out)
     encodeFixed32(frame.data(),
                   recordChecksum(frame.data() + 4, frame_len - 4));
 
+    // One append at a time from reservation to persist: a frame never
+    // becomes durable behind one that is still unpersisted, so a power
+    // cut mid-append leaves a torn TAIL, which the recovery rescan cuts
+    // off. With two appenders (the commit leader and a GC relocation)
+    // in flight, the second frame could persist first and then be cut
+    // off with the hole in front of it, while the index points at it.
+    std::lock_guard<std::mutex> append_lock(append_mu_);
     std::shared_ptr<Segment> seg;
     size_t off;
     {
@@ -167,6 +174,13 @@ ValueLog::read(const ValuePointer &ptr, std::string *value) const
     value->assign(payload, ptr.length);
     stats_->vlog_deref_reads.fetch_add(1, std::memory_order_relaxed);
     return Status::ok();
+}
+
+char *
+ValueLog::payloadAddress(const ValuePointer &ptr) const
+{
+    std::shared_ptr<Segment> seg = findSegment(ptr.segment_id);
+    return seg == nullptr ? nullptr : seg->base + ptr.offset;
 }
 
 void

@@ -112,6 +112,12 @@ class ValueLog
     Status read(const ValuePointer &ptr, std::string *value) const;
 
     /**
+     * Device address of @p ptr's payload bytes, or nullptr when its
+     * segment is gone (fault-injection tests flip bits through it).
+     */
+    char *payloadAddress(const ValuePointer &ptr) const;
+
+    /**
      * Account a dropped reference (overwrite/delete version collapse
      * in a merge, or a failed GC relocation). Purely a GC-trigger
      * heuristic: it may undercount after a crash (accounting is
@@ -248,6 +254,8 @@ class ValueLog
     std::shared_ptr<mem::MemoryGovernor> governor_;  //!< guarded by mu_
     const size_t segment_bytes_;
 
+    /** Serializes append() from reservation to persist. */
+    std::mutex append_mu_;
     mutable std::mutex mu_;
     std::map<uint64_t, std::shared_ptr<Segment>> segments_;
     std::shared_ptr<Segment> head_;

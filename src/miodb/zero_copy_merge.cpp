@@ -1,5 +1,6 @@
 #include "miodb/zero_copy_merge.h"
 
+#include <atomic>
 #include <cassert>
 #include <vector>
 
@@ -84,6 +85,8 @@ mergeLoop(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
                 drop_notify(n->entryType(), n->value());
             return;
         }
+        op->relinks.fetch_add(1, std::memory_order_relaxed);
+        std::atomic_thread_fence(std::memory_order_release);
         dst.linkNode(n, &splice);
         pointer_stores += n->height;
         // The same-key run now starts at succ0 only when the descent
@@ -126,12 +129,34 @@ mergeLoop(MergeOp *op, sim::NvmDevice *device, StatsCounters *stats,
                 unlinkShadowed(&src, n->key(), &head_splice, drop);
         }
 
+        // The kept versions of one key move oldest first. A newtable
+        // search stops at the key's first version, so while the
+        // newest stays behind no reader can take an older kept
+        // version (already in the oldtable or still here) for the
+        // key's newest; the newest itself moves last, through the
+        // mark like any single version.
+        Node *oldest = n;
+        for (Node *d = n->nextRelaxed(0);
+             d != nullptr && d->key() == n->key(); d = d->nextRelaxed(0))
+            oldest = d;
+
         // Publish the node in the insertion mark, then detach it from
         // the newtable (top-down), then link it into the oldtable
         // (bottom-up). Readers always find it in one of the three.
-        op->mark.store(n, std::memory_order_release);
-        src.unlinkFirst();
-        pointer_stores += n->height;
+        op->mark.store(oldest, std::memory_order_release);
+        if (oldest == n) {
+            src.unlinkFirst();
+            pointer_stores += n->height;
+        } else {
+            // Not the first node: readers of this key stop at n, so
+            // the order in which its levels are cut does not matter.
+            Splice head_splice;
+            for (int level = 0; level < SkipList::kMaxHeight; level++)
+                head_splice.prev[level] = src.head();
+            pointer_stores +=
+                unlinkShadowed(&src, n->key(), &head_splice, {oldest});
+            n = oldest;
+        }
         // The node now lives ONLY in the insertion mark; recovery
         // must re-insert it from there.
         MIO_FAILPOINT("zcm.detached");
@@ -187,8 +212,21 @@ mergeAwareGet(const MergeOp *op, const Slice &key, std::string *value,
               EntryType *type, uint64_t *seq, bool verify,
               bool *corrupt)
 {
-    // Step 1: the newtable (newest data of the pair).
-    if (op->newt->list().get(key, value, type, seq, verify, corrupt))
+    // Step 1: the newtable (newest data of the pair), searched again
+    // whenever a node moved into the oldtable under the search (see
+    // MergeOp::relinks): the result may come from the oldtable.
+    bool found;
+    for (;;) {
+        const uint64_t before = op->relinks.load(std::memory_order_acquire);
+        found = op->newt->list().get(key, value, type, seq, verify,
+                                     corrupt);
+        std::atomic_thread_fence(std::memory_order_acquire);
+        if (op->relinks.load(std::memory_order_relaxed) == before)
+            break;
+        if (corrupt != nullptr)
+            *corrupt = false;
+    }
+    if (found)
         return true;
     if (corrupt != nullptr && *corrupt)
         return false;

@@ -167,6 +167,7 @@ FailpointRegistry::hit(const char *point)
 
     if (crash) {
         fired_[point]++;
+        crashes_fired_.fetch_add(1, std::memory_order_release);
         last_crash_ = point;
         recomputeActiveLocked();
         lock.unlock();

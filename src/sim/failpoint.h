@@ -146,6 +146,17 @@ class FailpointRegistry
     /** Every point name hit while active since the last disarmAll. */
     std::vector<std::string> seenPoints() const;
 
+    /**
+     * SimCrashes thrown by armed points since process start; never
+     * reset (disarmAll included). A crash-shadowed NvmDevice compares
+     * it against its value at power-on to see that the power failed.
+     */
+    uint64_t
+    crashesFired() const
+    {
+        return crashes_fired_.load(std::memory_order_acquire);
+    }
+
     /** Hot-path hit; prefer the MIO_FAILPOINT macro. */
     void hit(const char *point);
 
@@ -170,6 +181,7 @@ class FailpointRegistry
     bool tracking_ = false;
     std::string last_crash_;
     std::atomic<bool> active_{false};
+    std::atomic<uint64_t> crashes_fired_{0};
 };
 
 /** Out-of-line slow path for the macro. May throw SimCrash. */

@@ -264,8 +264,18 @@ NvmDevice::persist(const void *addr, size_t n)
     // The failpoint fires BEFORE the barrier takes effect: a crash
     // here loses everything the caller was about to make durable.
     MIO_FAILPOINT("nvm.persist");
-    if (shadow_enabled_.load(std::memory_order_relaxed))
+    if (shadow_enabled_.load(std::memory_order_relaxed)) {
+        // Power is off from the instant any failpoint crashed until
+        // discardUnpersisted() models the reboot. A thread that was
+        // still running reaches no durable state past that instant:
+        // it dies at its next barrier, so nothing it wrote afterwards
+        // persists and no op it commits afterwards is acknowledged.
+        if (FailpointRegistry::instance().crashesFired() !=
+            powered_on_at_.load(std::memory_order_relaxed)) {
+            throw SimCrash("nvm.power_off");
+        }
         shadowPersist(static_cast<const char *>(addr), n);
+    }
     persist_ops_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -273,6 +283,8 @@ void
 NvmDevice::setCrashShadow(bool enabled)
 {
     std::lock_guard<std::mutex> lock(shadow_mu_);
+    powered_on_at_.store(FailpointRegistry::instance().crashesFired(),
+                         std::memory_order_relaxed);
     shadow_enabled_.store(enabled, std::memory_order_relaxed);
     if (!enabled)
         shadow_log_.clear();
@@ -375,6 +387,9 @@ NvmDevice::discardUnpersisted()
         bytes += it->old_bytes.size();
     }
     shadow_log_.clear();
+    // Reboot: the power is back on.
+    powered_on_at_.store(FailpointRegistry::instance().crashesFired(),
+                         std::memory_order_relaxed);
     shadow_discards_.fetch_add(1, std::memory_order_relaxed);
     shadow_discarded_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     return bytes;

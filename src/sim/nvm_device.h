@@ -217,6 +217,13 @@ class NvmDevice
     // in-place node builds) are modelled as failure-atomic and
     // immediately durable, matching the paper's reliance on atomic
     // pointer updates for its recovery protocol.
+    //
+    // Power cut: with the shadow enabled, a SimCrash fired by any
+    // failpoint switches the power off. From then until
+    // discardUnpersisted() every persist() throws SimCrash
+    // ("nvm.power_off") on the thread that calls it, so threads that
+    // outrun the crash cannot make anything durable, or acknowledge
+    // an op, after the crash instant.
 
     /** Enable/disable the shadow model. Disabling clears the log. */
     void setCrashShadow(bool enabled);
@@ -229,9 +236,9 @@ class NvmDevice
     uint64_t unpersistedBytes() const;
     /**
      * Simulated power failure: roll every unpersisted range back to
-     * its pre-write contents. Traffic meters are untouched -- the
-     * rollback models bytes that never reached the media, so charging
-     * them would double-count write amplification.
+     * its pre-write contents, then power back on. Traffic meters are
+     * untouched -- the rollback models bytes that never reached the
+     * media, so charging them would double-count write amplification.
      * @return number of bytes rolled back.
      */
     uint64_t discardUnpersisted();
@@ -309,6 +316,9 @@ class NvmDevice
     std::atomic<uint64_t> total_allocated_{0};
 
     std::atomic<bool> shadow_enabled_{false};
+    /** FailpointRegistry::crashesFired() when the power last came on;
+     *  any other value means a crash has cut it. */
+    std::atomic<uint64_t> powered_on_at_{0};
     mutable std::mutex shadow_mu_;
     /** Chronological; discard restores in reverse order so stacked
      *  overwrites unwind correctly. */

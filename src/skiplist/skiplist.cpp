@@ -12,12 +12,12 @@ SkipList::entryChecksum(const Slice &key, uint64_t seq, EntryType type,
                         const Slice &value)
 {
     // Seed folds in seq and type so metadata corruption (not just
-    // payload bytes) is detected too; chained hash covers key+value.
+    // payload bytes) is detected too; one CRC32C chains key+value.
     uint32_t seed = 0x8f1bbcdcu ^ static_cast<uint32_t>(seq) ^
                     static_cast<uint32_t>(seq >> 32) ^
                     (static_cast<uint32_t>(type) << 8);
-    uint32_t h = hash32(key.data(), key.size(), seed);
-    return hash32(value.data(), value.size(), h);
+    uint32_t crc = crc32c(key.data(), key.size(), seed);
+    return crc32c(value.data(), value.size(), crc);
 }
 
 bool

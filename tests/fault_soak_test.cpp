@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,6 +78,14 @@ TEST(FaultSoakTest, ConcurrentTrafficUnderSpikesAndScrubber)
     EXPECT_EQ(bad_statuses.load(), 0);
     db.waitIdle();
     // The scrubber ran concurrently and found nothing to quarantine.
+    // The traffic can end before a loaded host first schedules the
+    // periodic pass, so allow it up to 5 s to show up.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (db.stats().scrub_passes.load() == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     EXPECT_GT(db.stats().scrub_passes.load(), 0u);
     EXPECT_EQ(db.stats().tables_quarantined.load(), 0u);
     std::string v;

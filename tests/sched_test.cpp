@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -109,10 +111,16 @@ TEST(SchedTest, PriorityOrderHoldsWithSingleWorker)
 
     std::mutex gate;
     gate.lock();
-    ASSERT_TRUE(sched.submit(JobClass::kScrub, [&gate] {
+    std::promise<void> started;
+    std::future<void> worker_parked = started.get_future();
+    ASSERT_TRUE(sched.submit(JobClass::kScrub, [&gate, &started] {
+        started.set_value();
         gate.lock();  // held by the test until all jobs are queued
         gate.unlock();
     }));
+    // The one worker is inside the gating job before anything else is
+    // submitted, so none of the three below can be dispatched early.
+    worker_parked.wait();
 
     std::mutex order_mu;
     std::vector<JobClass> ran;

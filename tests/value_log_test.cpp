@@ -69,6 +69,33 @@ TEST(ValueLogTest, ReadRejectsCorruptPointer)
     EXPECT_TRUE(log.read(bad, &v).isNotFound());
 }
 
+TEST(ValueLogTest, EverySingleBitFlipInAPayloadAnswersCorruption)
+{
+    sim::NvmDevice nvm;
+    StatsCounters stats;
+    ValueLog log(&nvm, &stats, 4 << 10);
+    std::string payload(768, '\0');
+    for (size_t i = 0; i < payload.size(); i++)
+        payload[i] = static_cast<char>(i * 131 + 7);
+    ValuePointer p;
+    ASSERT_TRUE(log.append(Slice("k"), Slice(payload), &p).isOk());
+    char *bytes = log.payloadAddress(p);
+    ASSERT_NE(bytes, nullptr);
+
+    std::string v;
+    for (size_t byte = 0; byte < payload.size(); byte++) {
+        for (int bit = 0; bit < 8; bit++) {
+            nvm.injectBitFlipAt(bytes, byte, bit);
+            ASSERT_TRUE(log.read(p, &v).isCorruption())
+                << "byte " << byte << " bit " << bit;
+            nvm.injectBitFlipAt(bytes, byte, bit);  // restore
+        }
+    }
+    EXPECT_EQ(stats.corruptions_detected.load(), payload.size() * 8);
+    ASSERT_TRUE(log.read(p, &v).isOk());
+    EXPECT_EQ(v, payload);
+}
+
 TEST(ValueLogTest, GcVictimPicksColdSealedSegment)
 {
     sim::NvmDevice nvm;

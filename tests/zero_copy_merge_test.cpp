@@ -199,6 +199,63 @@ TEST(ZeroCopyMergeTest, MergeAwareGetDuringPausedMerge)
     }
 }
 
+TEST(ZeroCopyMergeTest, KeptVersionsNeverSurfaceAnOlderOneMidMerge)
+{
+    // A snapshot (or the instant-recovery floor) below both versions
+    // keeps "m"@5 and "m"@9 in the newtable. At every step of the
+    // merge -- node detached into the mark, merge paused there, merge
+    // resumed -- a merge-aware get must still return "m"@9: an older
+    // kept version left in the newtable while the newest already
+    // moved would be served as current (seen as stale reads and as
+    // value-log GC relocating a dead value over the live one).
+    for (uint64_t pause_at = 0; pause_at <= 3; pause_at++) {
+        SCOPED_TRACE("pause=" + std::to_string(pause_at));
+        sim::NvmDevice nvm;
+        StatsCounters stats;
+        auto op = std::make_shared<MergeOp>();
+        op->oldt = makeTable(&nvm, &stats, {{"a", {"av", 1}}}, 1);
+        lsm::MemTable mem(1 << 19, 7);
+        mem.add(Slice("m"), 5, EntryType::kValue, Slice("m5"));
+        mem.add(Slice("m"), 9, EntryType::kValue, Slice("m9"));
+        op->newt = onePieceFlush(&mem, &nvm, &stats, 16, 2);
+
+        auto expect_newest = [&](const char *when) {
+            std::string v;
+            EntryType t;
+            uint64_t seq = 0;
+            ASSERT_TRUE(
+                mergeAwareGet(op.get(), Slice("m"), &v, &t, &seq))
+                << when;
+            EXPECT_EQ(v, "m9") << when;
+            EXPECT_EQ(seq, 9u) << when;
+        };
+        const uint64_t keep_seq = 1;
+        bool complete = zeroCopyMerge(
+            op.get(), &nvm, &stats,
+            [&](uint64_t moved) {
+                expect_newest("node in the mark");
+                return moved < pause_at;
+            },
+            keep_seq);
+        expect_newest("after the merge returned");
+        if (!complete) {
+            ASSERT_TRUE(resumeZeroCopyMerge(op.get(), &nvm, &stats,
+                                            nullptr, keep_seq));
+        }
+        ASSERT_TRUE(op->done.load());
+        expect_newest("merged");
+        // Both kept versions survive, newest first.
+        EXPECT_EQ(op->oldt->entryCount(), 3u);
+        SkipList::Iterator it(&op->oldt->list());
+        it.seek(Slice("m"));
+        ASSERT_TRUE(it.valid());
+        EXPECT_EQ(it.seq(), 9u);
+        it.next();
+        ASSERT_TRUE(it.valid());
+        EXPECT_EQ(it.seq(), 5u);
+    }
+}
+
 TEST(ZeroCopyMergeTest, ResumeAfterEveryPausePoint)
 {
     // Simulated crash at every step k, then recovery completes the
